@@ -9,8 +9,8 @@
 //!   an in-process `DyTis` (small geometry so maintenance is visible at
 //!   bench scale).
 //! - `--net` — additionally replays the drift scenario through the real
-//!   TCP server via the blocking client, reading the concurrent engine's
-//!   counters server-side.
+//!   TCP server (`TpcServer` over small-geometry shards) via the blocking
+//!   `DYF1` client, reading the shards' counters server-side.
 //! - `--chaos` — additionally runs the chaos leg: a `DurableShardedStore`
 //!   is killed mid-drift every few thousand acked mutations, recovered,
 //!   and checked against the acked-op oracle plus a deep audit.
@@ -25,20 +25,19 @@
 //!     [--net] [--chaos] [--assert-drift] [--out BENCH_scenarios.json]
 //! ```
 
-use dytis::{ConcurrentDyTis, DyTis, Params};
+use dytis::{DyTis, Params};
 use index_traits::{Key, MaintenanceStats, Value};
-use kvstore::{Client, DurabilityOptions, Server, ServerOptions};
+use kvstore::{BinClient, DurabilityOptions, ServerOptions, TpcServer};
 use scenario::{builtin, chaos, compile, run, DytisTarget, RunOptions, ScenarioTarget, Timeline};
-use std::sync::Arc;
 
 /// Network adapter: ops go over the wire through the blocking client;
-/// counters are read server-side from the shared concurrent engine.
-struct NetTarget {
-    client: Client,
-    store: Arc<ConcurrentDyTis>,
+/// counters are read server-side from the workers' shards.
+struct NetTarget<'a> {
+    client: BinClient,
+    server: &'a TpcServer,
 }
 
-impl ScenarioTarget for NetTarget {
+impl ScenarioTarget for NetTarget<'_> {
     fn set(&mut self, key: Key, value: Value) {
         self.client.set(key, value).expect("net set");
     }
@@ -52,7 +51,7 @@ impl ScenarioTarget for NetTarget {
         out.extend(self.client.scan(start, count).expect("net scan"));
     }
     fn maintenance_stats(&mut self) -> Option<MaintenanceStats> {
-        Some(self.store.maintenance_stats())
+        Some(self.server.maintenance_stats())
     }
     fn target_name(&self) -> &'static str {
         "kvstore-net"
@@ -78,11 +77,17 @@ fn run_inproc(sc: &scenario::Scenario, opts: &RunOptions) -> Timeline {
 
 fn run_net(sc: &scenario::Scenario, opts: &RunOptions) -> Timeline {
     let compiled = compile(sc);
-    let store = Arc::new(ConcurrentDyTis::with_params(Params::small()));
-    let server = Server::with_options("127.0.0.1:0", Arc::clone(&store), ServerOptions::default())
+    // Two shards, so ops dialled at worker 0 also cross the forwarding hop.
+    let shards = (0..2)
+        .map(|_| DyTis::with_params(Params::small()))
+        .collect();
+    let server = TpcServer::with_shards("127.0.0.1:0", ServerOptions::default(), shards)
         .expect("server start");
-    let client = Client::connect(server.addr()).expect("client connect");
-    let mut target = NetTarget { client, store };
+    let client = BinClient::connect(server.addr()).expect("client connect");
+    let mut target = NetTarget {
+        client,
+        server: &server,
+    };
     let tl = run(&mut target, &compiled, opts);
     eprintln!(
         "[scenario_lab] {} over tcp ({} ops): maintenance total={}",

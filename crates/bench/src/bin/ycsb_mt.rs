@@ -25,40 +25,26 @@
 //! the instrumentation compiles to no-ops and only the always-on
 //! maintenance counters appear.
 //!
-//! `--net` (dytis only) drives a real KV server over loopback instead of
-//! calling the index in process: one server per cell, loaded with the
-//! pipelined `set_batch`, then one client per worker thread. Latencies
+//! `--net` (dytis only) drives the real KV server over loopback
+//! instead of calling the index in process: one `TpcServer` (one poll(2)
+//! event loop + one DyTIS shard per core) per cell, loaded and driven over
+//! `DYF1` binary frames by the shard-routing `RoutedClient`, one client per
+//! worker thread, with order-preserving run-length batching. Latencies
 //! include the full parse/serve/serialize path, so this is the end-to-end
-//! number the service can honestly quote. The run also times 1000 single
-//! `set`s against one `set_batch(1000)` and asserts the pipelined path
-//! wins, recording both under a `"net_batch"` key.
-//!
-//! `--net` composes with two selectors (DESIGN.md §16):
-//!
-//! - `--server threaded|tpc` — the thread-per-connection [`Server`] or
-//!   the thread-per-core `TpcServer` (one poll(2) event loop + one DyTIS
-//!   shard per core).
-//! - `--frame text|binary` — the line protocol with per-op round trips,
-//!   or the `DYF1` binary frame via the shard-routing `RoutedClient`
-//!   (order-preserving run-length batching; requires `--server tpc`).
-//!
-//! `--assert-speedup` runs the A/B cell pair the acceptance bar is
-//! defined on — `threaded`+`text` vs `tpc`+`binary` on the same op
-//! streams — writes both into `BENCH_ycsb_net.json` with the computed
-//! speedup, and asserts the tpc/binary YCSB-C cell is ≥ 5× the
-//! thread-per-connection baseline on machines with ≥ 4 cores (smaller
-//! boxes record the ratio and sanity-check it instead).
+//! number the service can honestly quote; the maintenance counters are the
+//! server's own (`TpcServer::maintenance_stats`). The run also times 1000
+//! single `set`s against one `set_batch(1000)` and asserts the pipelined
+//! path wins, recording both under a `"net_batch"` key.
 
 use bench::{base_keys, base_ops};
 use dytis::{ConcurrentDyTis, ConcurrentDyTisFine};
 use index_traits::{ConcurrentKvIndex, Key, MaintenanceStats, Value};
-use kvstore::{Client, RetryPolicy, Server};
-#[cfg(unix)]
-use kvstore::{RoutedClient, TpcOptions, TpcServer};
+use kvstore::{RoutedClient, TpcServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 use xindex::ConcurrentXIndex;
 use ycsb::{
@@ -156,19 +142,10 @@ fn shards(ops: &[Op], threads: usize) -> Vec<Vec<Op>> {
     out
 }
 
-/// Runs `ops` over `threads` workers and pools every per-op latency, so the
+/// Joins the workers of one cell and pools every per-op latency, so the
 /// aggregate percentiles are exact (not the worst-thread approximation).
-fn run_threads(idx: &Arc<dyn ConcurrentKvIndex>, ops: &[Op], threads: usize) -> Summary {
-    let parts = shards(ops, threads);
-    let wall = Instant::now();
-    let handles: Vec<_> = parts
-        .into_iter()
-        .map(|shard| {
-            let idx = Arc::clone(idx);
-            std::thread::spawn(move || run_ops_concurrent_latencies(&*idx, &shard))
-        })
-        .collect();
-    let mut pooled = Vec::with_capacity(ops.len());
+fn pool(handles: Vec<JoinHandle<(Vec<u64>, u64)>>, n_ops: usize, wall: Instant) -> Summary {
+    let mut pooled = Vec::with_capacity(n_ops);
     let mut slowest = 0u64;
     for h in handles {
         let (lat, elapsed) = h.join().expect("worker");
@@ -180,54 +157,22 @@ fn run_threads(idx: &Arc<dyn ConcurrentKvIndex>, ops: &[Op], threads: usize) -> 
     summarize(&mut pooled, wall_ns.max(slowest))
 }
 
-/// Runs one shard of ops through a connected client, timing each op.
-fn run_net_ops(client: &mut Client, ops: &[Op]) -> (Vec<u64>, u64) {
-    let mut lat = Vec::with_capacity(ops.len());
-    let mut sink = 0u64;
-    let start = Instant::now();
-    let mut last = start;
-    for &op in ops {
-        match op {
-            Op::Insert(k, v) | Op::Update(k, v) => client.set(k, v).expect("net set"),
-            Op::Read(k) => sink ^= client.get(k).expect("net get").unwrap_or(0),
-            Op::Scan(k) => {
-                let pairs = client.scan(k, SCAN_LEN).expect("net scan");
-                sink ^= pairs.last().map(|&(lk, _)| lk).unwrap_or(0);
-            }
-            Op::ReadModifyWrite(k, v) => {
-                let cur = client.get(k).expect("net rmw get").unwrap_or(0);
-                client.set(k, cur.wrapping_add(v)).expect("net rmw set");
-            }
-        }
-        let now = Instant::now();
-        lat.push(now.duration_since(last).as_nanos() as u64);
-        last = now;
-    }
-    std::hint::black_box(sink);
-    (lat, start.elapsed().as_nanos() as u64)
-}
-
-/// Which server build a `--net` cell drives (DESIGN.md §16).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ServerKind {
-    /// Thread-per-connection `kvstore::Server`.
-    Threaded,
-    /// Thread-per-core `kvstore::TpcServer` (unix only).
-    Tpc,
-}
-
-/// Which wire protocol the `--net` clients speak.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FrameKind {
-    /// Line protocol, one round trip per op.
-    Text,
-    /// `DYF1` binary frames via the shard-routing `RoutedClient`.
-    Binary,
+/// Runs `ops` over `threads` in-process workers.
+fn run_threads(idx: &Arc<dyn ConcurrentKvIndex>, ops: &[Op], threads: usize) -> Summary {
+    let parts = shards(ops, threads);
+    let wall = Instant::now();
+    let handles = parts
+        .into_iter()
+        .map(|shard| {
+            let idx = Arc::clone(idx);
+            std::thread::spawn(move || run_ops_concurrent_latencies(&*idx, &shard))
+        })
+        .collect();
+    pool(handles, ops.len(), wall)
 }
 
 /// Run length cap for the binary client: at most this many consecutive
 /// same-kind ops are coalesced into one pipelined batch.
-#[cfg(unix)]
 const NET_RUN_CAP: usize = 256;
 
 /// Runs one shard of ops through a routed binary client.
@@ -238,7 +183,6 @@ const NET_RUN_CAP: usize = 256;
 /// letting read-heavy workloads amortize round trips across whole runs.
 /// Each op in a run is charged the run's full round-trip latency (its
 /// honest time-to-result); throughput comes from the wall clock.
-#[cfg(unix)]
 fn run_net_ops_routed(client: &mut RoutedClient, ops: &[Op]) -> (Vec<u64>, u64) {
     let mut lat = Vec::with_capacity(ops.len());
     let mut sink = 0u64;
@@ -289,132 +233,52 @@ fn run_net_ops_routed(client: &mut RoutedClient, ops: &[Op]) -> (Vec<u64>, u64) 
     (lat, start.elapsed().as_nanos() as u64)
 }
 
-/// One `--net` cell: fresh server, pipelined load, one client per worker.
-///
-/// Maintenance counters are only observable for the threaded server (its
-/// store is shared with the driver); tpc cells own their shards inside
-/// the worker threads and report zeros.
+/// One `--net` cell: fresh server, pipelined load, one routed client per
+/// worker thread. Maintenance counters come from the server's shards;
+/// single-threaded shards never retry an insert, so that count is 0.
 fn net_cell(
     workload: Workload,
     loaded: &[Key],
     fresh: &[Key],
     n_ops: usize,
     threads: usize,
-    server_kind: ServerKind,
-    frame: FrameKind,
 ) -> (Summary, MaintenanceStats, u64) {
     let ops = generate_ops(workload, loaded, fresh, n_ops, 0xBE7C + threads as u64);
     let pairs: Vec<(Key, Value)> = loaded.iter().map(|&k| (k, k)).collect();
-    match server_kind {
-        ServerKind::Threaded => {
-            assert!(
-                frame == FrameKind::Text,
-                "the threaded server speaks the text protocol only"
-            );
-            let store = Arc::new(ConcurrentDyTis::new());
-            let server = Server::with_store("127.0.0.1:0", Arc::clone(&store)).expect("bind");
-            let addr = server.addr();
+    let server = TpcServer::start("127.0.0.1:0").expect("bind tpc");
+    let addrs: Vec<SocketAddr> = server.worker_addrs().to_vec();
 
-            let mut loader =
-                Client::connect_with_retry(addr, &RetryPolicy::default()).expect("loader connect");
-            loader.set_batch(&pairs).expect("net load");
-            loader.quit().expect("loader quit");
+    let mut loader = RoutedClient::connect(&addrs).expect("loader connect");
+    loader.set_batch(&pairs).expect("net load");
+    loader.quit().expect("loader quit");
 
-            let parts = shards(&ops, threads);
-            let before = store.maintenance_stats();
-            let retries_before = store.insert_retries();
-            let wall = Instant::now();
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|shard| {
-                    std::thread::spawn(move || {
-                        let mut c = Client::connect_with_retry(addr, &RetryPolicy::default())
-                            .expect("connect");
-                        let out = run_net_ops(&mut c, &shard);
-                        c.quit().expect("quit");
-                        out
-                    })
-                })
-                .collect();
-            let mut pooled = Vec::with_capacity(ops.len());
-            let mut slowest = 0u64;
-            for h in handles {
-                let (lat, elapsed) = h.join().expect("net worker");
-                pooled.extend(lat);
-                slowest = slowest.max(elapsed);
-            }
-            let wall_ns = wall.elapsed().as_nanos() as u64;
-            let after = store.maintenance_stats();
-            let maintenance = after.delta_since(&before);
-            let insert_retries = store.insert_retries() - retries_before;
-            let report = server.shutdown();
-            assert!(report.drained, "net cell server failed to drain");
-            (
-                summarize(&mut pooled, wall_ns.max(slowest)),
-                maintenance,
-                insert_retries,
-            )
-        }
-        #[cfg(unix)]
-        ServerKind::Tpc => {
-            let server =
-                TpcServer::with_options("127.0.0.1:0", TpcOptions::default()).expect("bind tpc");
-            let addrs: Vec<SocketAddr> = server.worker_addrs().to_vec();
-
-            let mut loader = RoutedClient::connect(&addrs).expect("loader connect");
-            loader.set_batch(&pairs).expect("net load");
-            loader.quit().expect("loader quit");
-
-            let parts = shards(&ops, threads);
-            let wall = Instant::now();
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|shard| {
-                    let addrs = addrs.clone();
-                    let addr = addrs[0];
-                    std::thread::spawn(move || match frame {
-                        FrameKind::Text => {
-                            let mut c = Client::connect_with_retry(addr, &RetryPolicy::default())
-                                .expect("connect");
-                            let out = run_net_ops(&mut c, &shard);
-                            c.quit().expect("quit");
-                            out
-                        }
-                        FrameKind::Binary => {
-                            let mut c = RoutedClient::connect(&addrs).expect("routed connect");
-                            let out = run_net_ops_routed(&mut c, &shard);
-                            c.quit().expect("quit");
-                            out
-                        }
-                    })
-                })
-                .collect();
-            let mut pooled = Vec::with_capacity(ops.len());
-            let mut slowest = 0u64;
-            for h in handles {
-                let (lat, elapsed) = h.join().expect("net worker");
-                pooled.extend(lat);
-                slowest = slowest.max(elapsed);
-            }
-            let wall_ns = wall.elapsed().as_nanos() as u64;
-            let report = server.shutdown();
-            assert!(report.drained, "tpc net cell server failed to drain");
-            (
-                summarize(&mut pooled, wall_ns.max(slowest)),
-                MaintenanceStats::default(),
-                0,
-            )
-        }
-        #[cfg(not(unix))]
-        ServerKind::Tpc => unreachable!("--server tpc is rejected at argument parsing on non-unix"),
-    }
+    let parts = shards(&ops, threads);
+    let before = server.maintenance_stats();
+    let wall = Instant::now();
+    let handles = parts
+        .into_iter()
+        .map(|shard| {
+            let addrs = addrs.clone();
+            std::thread::spawn(move || {
+                let mut c = RoutedClient::connect(&addrs).expect("routed connect");
+                let out = run_net_ops_routed(&mut c, &shard);
+                c.quit().expect("quit");
+                out
+            })
+        })
+        .collect();
+    let summary = pool(handles, ops.len(), wall);
+    let maintenance = server.maintenance_stats().delta_since(&before);
+    let report = server.shutdown();
+    assert!(report.drained, "net cell server failed to drain");
+    (summary, maintenance, 0)
 }
 
 /// Times 1000 single `set` round trips against one pipelined
 /// `set_batch(1000)` on the same connection and asserts the batch wins:
 /// the acceptance bar for the pipelined client path.
-fn net_batch_comparison(addr: SocketAddr) -> (u64, u64, f64) {
-    let mut c = Client::connect_with_retry(addr, &RetryPolicy::default()).expect("connect");
+fn net_batch_comparison(addrs: &[SocketAddr]) -> (u64, u64, f64) {
+    let mut c = RoutedClient::connect(addrs).expect("connect");
     let pairs: Vec<(Key, Value)> = (0..1_000u64).map(|i| (i * 2 + 1, i)).collect();
     // Warm the connection and the store's first-level tables.
     c.set(0, 0).expect("warm set");
@@ -654,162 +518,11 @@ fn read_scaling(smoke: bool, index_name: &str, out_path: &str) {
     eprintln!("[ycsb_mt] wrote {out_path} ({} bytes)", json.len());
 }
 
-/// The serving-stack A/B the acceptance bar is defined on: the committed
-/// thread-per-connection text baseline vs the thread-per-core server
-/// driven over `DYF1` binary frames, same key set and op streams, YCSB
-/// A/B/C at 1 and 4 client threads. Emits `BENCH_ycsb_net.json` with both
-/// modes' cells plus the computed ratio, and asserts the YCSB-C
-/// 4-thread tpc/binary cell is at least 5x the baseline — only where the
-/// machine has >= 4 cores (the thread-per-core design needs cores to
-/// spread over; smaller boxes record the ratio and sanity-check it).
-#[cfg(unix)]
-fn assert_speedup(smoke: bool, out_path: &str) {
-    struct NetCell {
-        server: &'static str,
-        frame: &'static str,
-        workload: &'static str,
-        threads: usize,
-        summary: Summary,
-    }
-
-    const BAR_WORKLOAD: Workload = Workload::C;
-    const BAR_THREADS: usize = 4;
-    const BAR: f64 = 5.0;
-
-    let (n_keys, n_ops) = if smoke {
-        (40_000, 20_000)
-    } else {
-        (base_keys(), base_ops())
-    };
-    let keys = make_keys(n_keys);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "[ycsb_mt] net speedup A/B: keys={} ops={n_ops} smoke={smoke} cores={cores}",
-        keys.len()
-    );
-
-    let modes: [(&str, &str, ServerKind, FrameKind); 2] = [
-        ("threaded", "text", ServerKind::Threaded, FrameKind::Text),
-        ("tpc", "binary", ServerKind::Tpc, FrameKind::Binary),
-    ];
-    let mut cells: Vec<NetCell> = Vec::new();
-    println!("| server | frame | workload | threads | Mops/s | p50 ns | p99 ns |");
-    println!("|---|---|---|---|---|---|---|");
-    for (server, frame_name, server_kind, frame) in modes {
-        for workload in [Workload::A, Workload::B, Workload::C] {
-            for threads in [1, BAR_THREADS] {
-                let (summary, _, _) =
-                    net_cell(workload, &keys, &[], n_ops, threads, server_kind, frame);
-                println!(
-                    "| {server} | {frame_name} | {} | {threads} | {:.2} | {} | {} |",
-                    workload.name(),
-                    summary.mops,
-                    summary.p50_ns,
-                    summary.p99_ns,
-                );
-                cells.push(NetCell {
-                    server,
-                    frame: frame_name,
-                    workload: workload.name(),
-                    threads,
-                    summary,
-                });
-            }
-        }
-    }
-
-    let mops = |server: &str, workload: &str, threads: usize| {
-        cells
-            .iter()
-            .find(|c| c.server == server && c.workload == workload && c.threads == threads)
-            .map(|c| c.summary.mops)
-            .expect("cell present")
-    };
-    let baseline = mops("threaded", BAR_WORKLOAD.name(), BAR_THREADS);
-    let fast = mops("tpc", BAR_WORKLOAD.name(), BAR_THREADS);
-    let ratio = fast / baseline.max(f64::MIN_POSITIVE);
-    let asserted = cores >= 4;
-    eprintln!(
-        "[ycsb_mt] YCSB-{} @ {BAR_THREADS} threads: threaded/text {baseline:.2} Mops, \
-         tpc/binary {fast:.2} Mops, speedup {ratio:.1}x",
-        BAR_WORKLOAD.name()
-    );
-    if asserted {
-        assert!(
-            ratio >= BAR,
-            "serving speedup bar missed: tpc/binary YCSB-{} was {ratio:.2}x the \
-             thread-per-connection baseline ({fast:.2} vs {baseline:.2} Mops) on \
-             {cores} cores; expected >= {BAR}x",
-            BAR_WORKLOAD.name()
-        );
-    } else {
-        eprintln!(
-            "[ycsb_mt] {cores} core(s): skipping the {BAR}x bar (thread-per-core \
-             needs >= 4 cores); sanity-checking throughput instead"
-        );
-        assert!(
-            baseline > 0.0 && fast > 0.0,
-            "net speedup sweep produced no throughput"
-        );
-    }
-
-    let mut json = String::from("{");
-    json.push_str(&format!(
-        "\"bench\":\"ycsb_net\",\"keys\":{},\"ops\":{},\"smoke\":{},\"cores\":{},",
-        keys.len(),
-        n_ops,
-        smoke,
-        cores
-    ));
-    json.push_str("\"results\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let s = &c.summary;
-        json.push_str(&format!(
-            concat!(
-                "{{\"server\":\"{}\",\"frame\":\"{}\",\"workload\":\"{}\",\"threads\":{},",
-                "\"ops\":{},\"elapsed_ns\":{},\"mops\":{:.4},\"avg_ns\":{:.1},\"p50_ns\":{},",
-                "\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"p9999_ns\":{}}}"
-            ),
-            c.server,
-            c.frame,
-            json_escape(c.workload),
-            c.threads,
-            s.ops,
-            s.elapsed_ns,
-            s.mops,
-            s.avg_ns,
-            s.p50_ns,
-            s.p90_ns,
-            s.p99_ns,
-            s.p999_ns,
-            s.p9999_ns,
-        ));
-    }
-    json.push_str(&format!(
-        "],\"speedup\":{{\"workload\":\"{}\",\"threads\":{BAR_THREADS},\
-         \"baseline_mops\":{baseline:.4},\"tpc_binary_mops\":{fast:.4},\
-         \"ratio\":{ratio:.2},\"bar\":{BAR:.1},\"asserted\":{asserted}}}",
-        BAR_WORKLOAD.name()
-    ));
-    if obs::ENABLED {
-        json.push_str(&format!(",\"obs\":{}", obs::snapshot().to_json()));
-    }
-    json.push('}');
-    std::fs::write(out_path, &json).expect("write BENCH_ycsb_net.json");
-    eprintln!("[ycsb_mt] wrote {out_path} ({} bytes)", json.len());
-}
-
 fn main() {
     let mut smoke = false;
     let mut net = false;
     let mut read_scaling_mode = false;
-    let mut speedup_mode = false;
     let mut index_name = String::from("dytis");
-    let mut server_name = String::from("threaded");
-    let mut frame_name = String::from("text");
     let mut out_path = String::from("BENCH_ycsb.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -817,22 +530,9 @@ fn main() {
             "--smoke" => smoke = true,
             "--net" => net = true,
             "--read-scaling" => read_scaling_mode = true,
-            "--assert-speedup" => speedup_mode = true,
             "--index" => {
                 index_name = args.next().unwrap_or_else(|| {
                     eprintln!("--index needs a value");
-                    std::process::exit(2);
-                })
-            }
-            "--server" => {
-                server_name = args.next().unwrap_or_else(|| {
-                    eprintln!("--server needs a value (threaded | tpc)");
-                    std::process::exit(2);
-                })
-            }
-            "--frame" => {
-                frame_name = args.next().unwrap_or_else(|| {
-                    eprintln!("--frame needs a value (text | binary)");
                     std::process::exit(2);
                 })
             }
@@ -846,7 +546,6 @@ fn main() {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: ycsb_mt [--smoke] [--index dytis|dytis-fine|xindex] [--net] \
-                     [--server threaded|tpc] [--frame text|binary] [--assert-speedup] \
                      [--read-scaling] [--out FILE]"
                 );
                 std::process::exit(2);
@@ -854,45 +553,8 @@ fn main() {
         }
     }
     if net && index_name != "dytis" {
-        eprintln!("--net serves a ConcurrentDyTis store; use --index dytis");
+        eprintln!("--net serves DyTis shards behind TpcServer; use --index dytis");
         std::process::exit(2);
-    }
-    let server_kind = match server_name.as_str() {
-        "threaded" => ServerKind::Threaded,
-        "tpc" => ServerKind::Tpc,
-        other => {
-            eprintln!("unknown server {other:?}; expected threaded | tpc");
-            std::process::exit(2);
-        }
-    };
-    let frame = match frame_name.as_str() {
-        "text" => FrameKind::Text,
-        "binary" => FrameKind::Binary,
-        other => {
-            eprintln!("unknown frame {other:?}; expected text | binary");
-            std::process::exit(2);
-        }
-    };
-    if frame == FrameKind::Binary && server_kind != ServerKind::Tpc {
-        eprintln!("--frame binary needs the DYF1-speaking server; add --server tpc");
-        std::process::exit(2);
-    }
-    #[cfg(not(unix))]
-    if server_kind == ServerKind::Tpc || speedup_mode {
-        eprintln!("--server tpc / --assert-speedup need the poll(2)-based TpcServer (unix only)");
-        std::process::exit(2);
-    }
-    if speedup_mode {
-        if read_scaling_mode {
-            eprintln!("--assert-speedup is a net sweep; drop --read-scaling");
-            std::process::exit(2);
-        }
-        if out_path == "BENCH_ycsb.json" {
-            out_path = String::from("BENCH_ycsb_net.json");
-        }
-        #[cfg(unix)]
-        assert_speedup(smoke, &out_path);
-        return;
     }
     if read_scaling_mode {
         if net {
@@ -934,7 +596,7 @@ fn main() {
         let (loaded, fresh) = keys.split_at(split);
         for threads in THREADS {
             let (summary, maintenance, insert_retries) = if net {
-                net_cell(workload, loaded, fresh, n_ops, threads, server_kind, frame)
+                net_cell(workload, loaded, fresh, n_ops, threads)
             } else {
                 // Fresh index per cell so maintenance counts are
                 // attributable.
@@ -976,15 +638,13 @@ fn main() {
 
     // In net mode, prove the pipelined client path pays for itself before
     // writing results: 1000 singles vs one set_batch(1000).
-    let net_batch = if net {
-        let server = Server::start("127.0.0.1:0").expect("bind batch server");
-        let stats = net_batch_comparison(server.addr());
+    let net_batch = net.then(|| {
+        let server = TpcServer::start("127.0.0.1:0").expect("bind batch server");
+        let stats = net_batch_comparison(server.worker_addrs());
         let report = server.shutdown();
         assert!(report.drained, "batch comparison server failed to drain");
-        Some(stats)
-    } else {
-        None
-    };
+        stats
+    });
 
     let mut json = String::from("{");
     json.push_str(&format!(
@@ -995,13 +655,6 @@ fn main() {
         n_ops,
         smoke
     ));
-    if net {
-        json.push_str(&format!(
-            "\"server\":\"{}\",\"frame\":\"{}\",",
-            json_escape(&server_name),
-            json_escape(&frame_name)
-        ));
-    }
     json.push_str("\"results\":[");
     for (i, c) in cells.iter().enumerate() {
         if i > 0 {

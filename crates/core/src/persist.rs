@@ -10,18 +10,12 @@
 //! Checkpoints are written in the `DYTIS2` format of
 //! [`durability::checkpoint`]: magic `DYTIS2\0\0` (8 bytes), key count
 //! (u64), `count` key/value pairs (16 bytes each) in ascending key order,
-//! then a CRC-64/XZ of everything after the magic. [`load_from`] also
-//! accepts the seed's `DYTIS1` format, which differs only in its trailing
-//! checksum — an XOR-rotate fold whose invertibility admits trivial second
-//! preimages (see `fold_collision_caught_by_crc64` below); `DYTIS1` is
-//! read-only legacy, never written.
+//! then a CRC-64/XZ of everything after the magic. Any other magic is
+//! `InvalidData`.
 
 use crate::{DyTis, Params};
 use index_traits::{Key, KvIndex};
 use std::io::{self, Read, Write};
-
-/// File magic of the legacy v1 checkpoint format (read-only support).
-pub const MAGIC_V1: [u8; 8] = *b"DYTIS1\0\0";
 
 /// File magic of the current checkpoint format (re-exported from
 /// [`durability::checkpoint`]).
@@ -36,8 +30,8 @@ pub fn save_to<W: Write>(index: &DyTis, w: &mut W) -> io::Result<()> {
     durability::save_index(index, w)
 }
 
-/// Restores a checkpoint written by [`save_to`] (or by the seed's v1
-/// writer), building the index with `params`.
+/// Restores a checkpoint written by [`save_to`], building the index with
+/// `params`.
 ///
 /// # Errors
 ///
@@ -46,45 +40,16 @@ pub fn save_to<W: Write>(index: &DyTis, w: &mut W) -> io::Result<()> {
 pub fn load_from<R: Read>(r: &mut R, params: Params) -> io::Result<DyTis> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    let mut index = DyTis::with_params(params);
-    if magic == MAGIC {
-        durability::load_body(r, |k, v| index.insert(k, v))?;
-    } else if magic == MAGIC_V1 {
-        load_v1_body(r, &mut index)?;
-    } else {
+    if magic != MAGIC {
         return Err(bad("bad magic"));
     }
+    let mut index = DyTis::with_params(params);
+    durability::load_body(r, |k, v| index.insert(k, v))?;
     // Debug-build hook: a freshly recovered index must satisfy every
     // structural invariant before it is handed to the caller.
     #[cfg(debug_assertions)]
     index_traits::Auditable::audit(&index).assert_clean();
     Ok(index)
-}
-
-/// Reads the body of a legacy `DYTIS1` stream (after the magic): count,
-/// sorted pairs, XOR-rotate fold checksum.
-fn load_v1_body<R: Read>(r: &mut R, index: &mut DyTis) -> io::Result<()> {
-    let n = read_u64(r)?;
-    let mut checksum = fold(n, 0);
-    let mut prev: Option<Key> = None;
-    for _ in 0..n {
-        let k = read_u64(r)?;
-        let v = read_u64(r)?;
-        if let Some(p) = prev {
-            if p >= k {
-                return Err(bad("checkpoint pairs out of order"));
-            }
-        }
-        prev = Some(k);
-        checksum = fold(k, checksum);
-        checksum = fold(v, checksum);
-        index.insert(k, v);
-    }
-    let expect = read_u64(r)?;
-    if expect != checksum {
-        return Err(bad("checksum mismatch"));
-    }
-    Ok(())
 }
 
 /// A write-ahead log of individual operations, complementing [`save_to`]
@@ -185,23 +150,8 @@ pub fn replay<R: Read>(r: &mut R, index: &mut DyTis) -> io::Result<usize> {
     }
 }
 
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// The legacy v1 XOR-rotate fold — order-sensitive and cheap, but every
-/// step is invertible (rotate, XOR, and multiply-by-odd are all
-/// bijections), so a tampered word can be compensated by a second edit
-/// anywhere later in the stream. Kept only to read `DYTIS1` checkpoints.
-#[inline]
-fn fold(x: u64, acc: u64) -> u64 {
-    (acc.rotate_left(17) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]
@@ -215,22 +165,6 @@ mod tests {
             idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15) >> 1, k);
         }
         idx
-    }
-
-    /// The seed's v1 checkpoint writer, preserved verbatim so back-compat
-    /// and the fold-collision regression keep a faithful byte source.
-    fn save_v1(pairs: &[(u64, u64)], buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&MAGIC_V1);
-        let n = pairs.len() as u64;
-        buf.extend_from_slice(&n.to_le_bytes());
-        let mut checksum = fold(n, 0);
-        for &(k, v) in pairs {
-            buf.extend_from_slice(&k.to_le_bytes());
-            buf.extend_from_slice(&v.to_le_bytes());
-            checksum = fold(k, checksum);
-            checksum = fold(v, checksum);
-        }
-        buf.extend_from_slice(&checksum.to_le_bytes());
     }
 
     #[test]
@@ -270,86 +204,6 @@ mod tests {
         save_to(&idx, &mut buf).expect("save");
         let restored = load_from(&mut Cursor::new(&buf), Params::default()).expect("load");
         assert_eq!(restored.len(), idx.len());
-    }
-
-    #[test]
-    fn legacy_v1_checkpoints_still_load() {
-        let pairs: Vec<(u64, u64)> = (0..1_000u64).map(|k| (k * 7, k)).collect();
-        let mut buf = Vec::new();
-        save_v1(&pairs, &mut buf);
-        let restored = load_from(&mut Cursor::new(&buf), Params::small()).expect("v1 load");
-        assert_eq!(restored.len(), pairs.len());
-        assert_eq!(restored.get(7 * 123), Some(123));
-    }
-
-    #[test]
-    fn legacy_v1_corruption_still_rejected() {
-        let pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, k)).collect();
-        let mut buf = Vec::new();
-        save_v1(&pairs, &mut buf);
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0x01;
-        assert!(load_from(&mut Cursor::new(&buf), Params::small()).is_err());
-    }
-
-    /// The reason `DYTIS2` exists: every step of the v1 fold is a bijection
-    /// (rotate, XOR with the data word, multiply by an odd constant), so a
-    /// flipped value can be cancelled by one compensating edit anywhere
-    /// later in the stream. This builds two different pair sets whose v1
-    /// streams carry the *same* fold checksum — the v1 loader accepts both,
-    /// silently returning different data — and shows CRC64 tells them
-    /// apart.
-    #[test]
-    fn fold_collision_caught_by_crc64() {
-        let pairs: Vec<(u64, u64)> = (1..=4u64).map(|k| (k * 100, k * 1_000)).collect();
-
-        // Tamper the first pair's value, then solve for the compensating
-        // edit to the *last* pair's value: with acc/acc2 the fold states
-        // (original/tampered) just before a word x, equality after that
-        // word needs x' = x ^ rotl17(acc) ^ rotl17(acc2).
-        let words = |ps: &[(u64, u64)]| -> Vec<u64> {
-            let mut w = vec![ps.len() as u64];
-            for &(k, v) in ps {
-                w.push(k);
-                w.push(v);
-            }
-            w
-        };
-        let mut tampered = pairs.clone();
-        tampered[0].1 ^= 1;
-        let (a, mut b) = (words(&pairs), words(&tampered));
-        let (mut acc, mut acc2) = (0u64, 0u64);
-        for i in 0..a.len() - 1 {
-            acc = fold(a[i], acc);
-            acc2 = fold(b[i], acc2);
-        }
-        let last = a.len() - 1;
-        b[last] = a[last] ^ acc.rotate_left(17) ^ acc2.rotate_left(17);
-        tampered[3].1 = b[last];
-
-        let mut stream_a = Vec::new();
-        let mut stream_b = Vec::new();
-        save_v1(&pairs, &mut stream_a);
-        save_v1(&tampered, &mut stream_b);
-        assert_ne!(stream_a, stream_b, "streams must differ");
-        assert_eq!(
-            &stream_a[stream_a.len() - 8..],
-            &stream_b[stream_b.len() - 8..],
-            "fold checksums must collide"
-        );
-
-        // v1 accepts both — and hands back different data for the second.
-        let ra = load_from(&mut Cursor::new(&stream_a), Params::small()).expect("v1 a");
-        let rb = load_from(&mut Cursor::new(&stream_b), Params::small()).expect("v1 b");
-        assert_eq!(ra.get(100), Some(1_000));
-        assert_eq!(rb.get(100), Some(1_001), "silent corruption under v1");
-
-        // CRC64 over the same byte streams (sans magic) tells them apart.
-        assert_ne!(
-            durability::crc64(&stream_a[8..]),
-            durability::crc64(&stream_b[8..]),
-            "CRC64 must distinguish the colliding streams"
-        );
     }
 
     #[test]
@@ -425,9 +279,15 @@ mod tests {
     fn bad_magic_rejected() {
         let mut buf = Vec::new();
         save_to(&sample_index(), &mut buf).expect("save");
-        buf[0] ^= 0xFF;
-        let err = load_from(&mut Cursor::new(&buf), Params::small()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut flipped = buf.clone();
+        flipped[0] ^= 0xFF;
+        // The retired v1 magic is as unknown as any other.
+        let mut v1 = buf;
+        v1[..8].copy_from_slice(b"DYTIS1\0\0");
+        for stream in [flipped, v1] {
+            let err = load_from(&mut Cursor::new(&stream), Params::small()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

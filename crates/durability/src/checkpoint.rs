@@ -2,10 +2,8 @@
 //!
 //! Format `DYTIS2` (little-endian): magic `DYTIS2\0\0` (8 bytes), key count
 //! (u64), then `count` key/value pairs (16 bytes each) in strictly ascending
-//! key order, then a CRC-64/XZ (u64) of every byte after the magic. The
-//! layout matches the seed's `DYTIS1` exactly except for the trailing
-//! checksum, which upgrades from an invertible XOR-rotate fold to a real
-//! CRC (see [`crate::crc64`] for why the fold is not enough).
+//! key order, then a CRC-64/XZ (u64) of every byte after the magic (see
+//! [`crate::crc64`] for why a real CRC and not a cheaper fold).
 //!
 //! The stream is structure-free — just the sorted pair set — so any
 //! [`KvIndex`] can write it and any [`KvIndex`] or [`BulkLoad`]

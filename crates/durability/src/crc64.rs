@@ -2,8 +2,8 @@
 //! init and xorout all-ones.
 //!
 //! This replaces the seed repo's XOR-rotate fold checksum, whose per-step
-//! invertibility makes second preimages trivially constructible (see the
-//! regression test in `crates/core/src/persist.rs`). CRC64 carries the
+//! invertibility makes second preimages trivially constructible (flip one
+//! word, cancel it with one compensating edit later). CRC64 carries the
 //! standard guarantees: all burst errors up to 64 bits are detected, as is
 //! any odd number of bit flips, and random corruption survives with
 //! probability 2^-64.

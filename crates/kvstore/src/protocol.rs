@@ -13,9 +13,14 @@
 //!
 //! Malformed input yields `ERR <reason>` and keeps the connection open.
 //!
+//! A request is complete only at its newline. Bytes after the last newline
+//! when the peer closes (or half-closes) are a truncated request and are
+//! dropped, never applied: a client that dies mid-write of `SET 1 234`
+//! cannot get `SET 1 23` stored.
+//!
 //! # Limits
 //!
-//! Two hard limits are part of the protocol contract (DESIGN.md §11):
+//! Two hard limits are part of the protocol contract (DESIGN.md §16):
 //!
 //! - A request line may be at most [`MAX_LINE_BYTES`] bytes (excluding the
 //!   newline). Longer lines get `ERR line too long` and the server discards

@@ -5,212 +5,35 @@
 //! in H-Store and Redis Cluster. Such systems may also use the
 //! single-threaded version of DyTIS that does not use locks."
 //!
-//! [`ShardedStore`] is that deployment: N worker threads, each owning a
-//! *lock-free-by-construction* single-threaded [`DyTis`], with keys
-//! partitioned by their most-significant bits so the shards cover ordered,
-//! disjoint key ranges — which keeps cross-shard scans a simple in-order
-//! visit.
+//! Both deployments in this crate partition keys with [`shard_of`], so
+//! shards cover ordered, disjoint key ranges and a cross-shard scan is a
+//! simple in-order visit: `TpcServer` (one shard per event-loop worker,
+//! served over TCP) and the embedded [`DurableShardedStore`], N engine
+//! threads each owning a *lock-free-by-construction* single-threaded
+//! [`DyTis`] under the checkpoint + write-ahead-log protocol of the
+//! `durability` crate — each engine appends every mutation to its shard's
+//! WAL before applying it, clients block on the group-commit ack, and
+//! startup recovers each shard from its latest checkpoint plus log replay.
 
-//! [`DurableShardedStore`] layers the checkpoint + write-ahead-log protocol
-//! of the `durability` crate on the same architecture: each engine appends
-//! every mutation to its shard's WAL before applying it, clients block on
-//! the group-commit ack, and startup recovers each shard from its latest
-//! checkpoint plus log replay.
-
-use crate::sync::Arc;
 use durability::{FileStorage, Seq, Wal, WalOp, WalStats};
 use dytis::{DyTis, Params};
 use index_traits::{AuditReport, Auditable, Key, KvIndex, MaintenanceStats, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-enum Cmd {
-    Set(Key, Value),
-    Get(Key, SyncSender<Option<Value>>),
-    Del(Key, SyncSender<Option<Value>>),
-    Scan(Key, usize, SyncSender<Vec<(Key, Value)>>),
-    Len(SyncSender<usize>),
-    Stop,
+/// The shard that owns `key` among `shards` shards: contiguous, monotone
+/// key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`), so cross-shard
+/// scans visit shards in index order. The one partition function of the
+/// crate — `TpcServer` workers, the routing client and
+/// [`DurableShardedStore`] all compute it, so both sides of a connection
+/// (and both sides of a restart) agree on who owns a key.
+#[inline]
+pub fn shard_of(key: Key, shards: usize) -> usize {
+    ((u128::from(key) * shards as u128) >> 64) as usize
 }
-
-/// A store partitioned over single-threaded DyTIS engines.
-pub struct ShardedStore {
-    senders: Vec<SyncSender<Cmd>>,
-    handles: Vec<JoinHandle<()>>,
-    shard_bits: u32,
-    /// One obs counter per shard (`kv.shard.<i>.ops`); no-ops unless the
-    /// `metrics` feature is on.
-    shard_ops: Vec<&'static obs::Counter>,
-}
-
-impl ShardedStore {
-    /// Spawns `2^shard_bits` engine threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_bits > 8`.
-    pub fn new(shard_bits: u32) -> Self {
-        assert!(shard_bits <= 8, "at most 256 shards");
-        let n = 1usize << shard_bits;
-        let mut senders = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx): (SyncSender<Cmd>, Receiver<Cmd>) = sync_channel(1024);
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || {
-                // The single-threaded engine: no locks anywhere.
-                let mut idx = DyTis::new();
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Set(k, v) => idx.insert(k, v),
-                        Cmd::Get(k, reply) => {
-                            let _ = reply.send(idx.get(k));
-                        }
-                        Cmd::Del(k, reply) => {
-                            let _ = reply.send(idx.remove(k));
-                        }
-                        Cmd::Scan(start, count, reply) => {
-                            let mut out = Vec::with_capacity(count.min(1024));
-                            idx.scan(start, count, &mut out);
-                            let _ = reply.send(out);
-                        }
-                        Cmd::Len(reply) => {
-                            let _ = reply.send(idx.len());
-                        }
-                        Cmd::Stop => break,
-                    }
-                }
-            }));
-        }
-        let shard_ops = (0..n)
-            .map(|i| obs::counter(&format!("kv.shard.{i}.ops")))
-            .collect();
-        ShardedStore {
-            senders,
-            handles,
-            shard_bits,
-            shard_ops,
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (key >> (64 - self.shard_bits)) as usize
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Inserts or updates a pair (fire-and-forget to the owning engine).
-    pub fn set(&self, key: Key, value: Value) {
-        let shard = self.shard_of(key);
-        self.shard_ops[shard].inc();
-        // invariant: each engine thread holds its receiver until it sees
-        // Cmd::Stop, which is only sent from shutdown()/drop.
-        self.senders[shard]
-            .send(Cmd::Set(key, value))
-            .expect("engine alive");
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        let shard = self.shard_of(key);
-        self.shard_ops[shard].inc();
-        let (tx, rx) = sync_channel(1);
-        // invariant: the engine outlives `self` and replies to every Get.
-        self.senders[shard]
-            .send(Cmd::Get(key, tx))
-            .expect("engine alive");
-        // invariant: the engine replied above before dropping `tx`.
-        rx.recv().expect("engine replies")
-    }
-
-    /// Deletes a key.
-    pub fn del(&self, key: Key) -> Option<Value> {
-        let shard = self.shard_of(key);
-        self.shard_ops[shard].inc();
-        let (tx, rx) = sync_channel(1);
-        // invariant: the engine outlives `self` and replies to every Del.
-        self.senders[shard]
-            .send(Cmd::Del(key, tx))
-            .expect("engine alive");
-        // invariant: the engine replied above before dropping `tx`.
-        rx.recv().expect("engine replies")
-    }
-
-    /// Ordered scan across shards: shards own ordered, disjoint key ranges,
-    /// so visiting them in index order yields globally sorted output.
-    pub fn scan(&self, start: Key, count: usize) -> Vec<(Key, Value)> {
-        let mut out = Vec::with_capacity(count.min(4096));
-        let mut cursor = start;
-        for s in self.shard_of(start)..self.senders.len() {
-            self.shard_ops[s].inc();
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every Scan.
-            self.senders[s]
-                .send(Cmd::Scan(cursor, count - out.len(), tx))
-                .expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            out.extend(rx.recv().expect("engine replies"));
-            if out.len() >= count {
-                break;
-            }
-            cursor = 0; // Later shards start from their range beginning.
-        }
-        out
-    }
-
-    /// Total keys across shards.
-    pub fn len(&self) -> usize {
-        let mut total = 0;
-        for s in &self.senders {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every Len.
-            s.send(Cmd::Len(tx)).expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            total += rx.recv().expect("engine replies");
-        }
-        total
-    }
-
-    /// Returns `true` when no shard holds a key.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stops every engine and joins its thread.
-    pub fn shutdown(mut self) {
-        for s in &self.senders {
-            let _ = s.send(Cmd::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ShardedStore {
-    fn drop(&mut self) {
-        for s in &self.senders {
-            let _ = s.send(Cmd::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Durable sharded store
-// ---------------------------------------------------------------------------
 
 /// Tuning for [`DurableShardedStore`].
 #[derive(Debug, Clone, Copy)]
@@ -256,13 +79,18 @@ enum DurableCmd {
     Stop,
 }
 
-/// A [`ShardedStore`] with per-shard durability: every mutation is appended
-/// to the owning shard's write-ahead log and acknowledged only after the
-/// group-commit fsync; checkpoints rotate the log so replay stays bounded.
+/// An embedded sharded store with per-shard durability: every mutation is
+/// appended to the owning shard's write-ahead log and acknowledged only
+/// after the group-commit fsync; checkpoints rotate the log so replay stays
+/// bounded. Cross-shard reads (`len`, a `scan` spanning range boundaries)
+/// visit shards one after another without stopping writers, so they are
+/// not atomic across shards.
 ///
 /// Files live under the store's directory as `shard-<i>.ckpt` (the `DYTIS2`
 /// format of `dytis::persist`) and `shard-<i>.wal` (the `DYWAL1` framing of
-/// `durability::record`). [`DurableShardedStore::open`] recovers each shard
+/// `durability::record`); shard `i` holds the keys whose top `shard_bits`
+/// bits are `i`, which is what [`shard_of`] computes for a power-of-two
+/// shard count. [`DurableShardedStore::open`] recovers each shard
 /// by loading its checkpoint and replaying the log's valid prefix; replay
 /// is idempotent (records are absolute puts/deletes), so a log that
 /// predates the newest checkpoint is harmless.
@@ -270,7 +98,6 @@ pub struct DurableShardedStore {
     senders: Vec<SyncSender<DurableCmd>>,
     handles: Vec<JoinHandle<()>>,
     wals: Vec<Arc<Wal<FileStorage>>>,
-    shard_bits: u32,
 }
 
 impl DurableShardedStore {
@@ -332,17 +159,7 @@ impl DurableShardedStore {
             senders,
             handles,
             wals,
-            shard_bits: opts.shard_bits,
         })
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (key >> (64 - self.shard_bits)) as usize
-        }
     }
 
     /// Number of shards.
@@ -358,7 +175,7 @@ impl DurableShardedStore {
     /// Returns the shard WAL's sticky error if durability cannot be
     /// guaranteed; the write must then be considered lost.
     pub fn set(&self, key: Key, value: Value) -> io::Result<()> {
-        let shard = self.shard_of(key);
+        let shard = shard_of(key, self.senders.len());
         let (tx, rx) = sync_channel(1);
         // invariant: each engine thread holds its receiver until it sees
         // Stop, which is only sent from shutdown()/crash()/drop.
@@ -372,7 +189,7 @@ impl DurableShardedStore {
 
     /// Point lookup (reads need no WAL interaction).
     pub fn get(&self, key: Key) -> Option<Value> {
-        let shard = self.shard_of(key);
+        let shard = shard_of(key, self.senders.len());
         let (tx, rx) = sync_channel(1);
         // invariant: the engine outlives `self` and replies to every Get.
         self.senders[shard]
@@ -389,7 +206,7 @@ impl DurableShardedStore {
     ///
     /// As [`DurableShardedStore::set`].
     pub fn del(&self, key: Key) -> io::Result<Option<Value>> {
-        let shard = self.shard_of(key);
+        let shard = shard_of(key, self.senders.len());
         let (tx, rx) = sync_channel(1);
         // invariant: the engine outlives `self` and replies to every Del.
         self.senders[shard]
@@ -410,7 +227,7 @@ impl DurableShardedStore {
     pub fn scan(&self, start: Key, count: usize) -> Vec<(Key, Value)> {
         let mut out = Vec::with_capacity(count.min(4096));
         let mut cursor = start;
-        for s in self.shard_of(start)..self.senders.len() {
+        for s in shard_of(start, self.senders.len())..self.senders.len() {
             let (tx, rx) = sync_channel(1);
             // invariant: the engine outlives `self` and replies to every Scan.
             self.senders[s]
@@ -673,71 +490,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn basic_ops_across_shards() {
-        let store = ShardedStore::new(2);
-        assert_eq!(store.shards(), 4);
-        // Keys spread over all four shards (top 2 bits 00/01/10/11).
-        let keys: Vec<u64> = (0..4).map(|s| (s as u64) << 62 | 42).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            store.set(k, i as u64);
+    fn shard_of_is_monotone_and_total() {
+        for shards in [1usize, 2, 3, 4, 7, 16] {
+            assert_eq!(shard_of(0, shards), 0);
+            assert_eq!(shard_of(u64::MAX, shards), shards - 1);
+            let mut prev = 0;
+            for i in 0..1000u64 {
+                let s = shard_of(i * (u64::MAX / 1000), shards);
+                assert!(s >= prev, "shard_of must be monotone");
+                assert!(s < shards);
+                prev = s;
+            }
         }
-        assert_eq!(store.len(), 4);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(store.get(k), Some(i as u64));
-        }
-        assert_eq!(store.get(7), None);
-        assert_eq!(store.del(keys[0]), Some(0));
-        assert_eq!(store.len(), 3);
-        store.shutdown();
     }
 
+    /// On-disk compatibility: for every supported `shard_bits`, `shard_of`
+    /// routes each range-boundary key exactly like the top-bits shift the
+    /// durable store used to carry privately.
     #[test]
-    fn cross_shard_scan_is_globally_sorted() {
-        let store = ShardedStore::new(2);
-        let keys: Vec<u64> = (0..2_000u64)
-            .map(|k| k.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        for &k in &keys {
-            store.set(k, k);
+    fn shard_of_matches_top_bits_for_powers_of_two() {
+        for bits in 0..=8u32 {
+            let top_bits = |k: u64| {
+                if bits == 0 {
+                    0
+                } else {
+                    (k >> (64 - bits)) as usize
+                }
+            };
+            let mut keys = vec![0, 1, u64::MAX - 1, u64::MAX];
+            for i in 1..(1u64 << bits) {
+                let edge = i << (64 - bits);
+                keys.extend([edge - 1, edge, edge + 1]);
+            }
+            for k in keys {
+                assert_eq!(
+                    shard_of(k, 1 << bits),
+                    top_bits(k),
+                    "bits={bits} key={k:#x}"
+                );
+            }
         }
-        let got = store.scan(0, 2_000);
-        assert_eq!(got.len(), 2_000);
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
-        // A mid-space scan crosses shard boundaries.
-        let mid = 1u64 << 62;
-        let tail = store.scan(mid, 500);
-        assert!(tail.iter().all(|&(k, _)| k >= mid));
-        assert!(tail.windows(2).all(|w| w[0].0 < w[1].0));
-        store.shutdown();
-    }
-
-    #[test]
-    fn concurrent_clients_share_engines() {
-        let store = std::sync::Arc::new(ShardedStore::new(1));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let store = std::sync::Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..2_000u64 {
-                        store.set(t * 10_000 + i, i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client");
-        }
-        assert_eq!(store.len(), 8_000);
-        assert_eq!(store.get(10_123), Some(123));
-    }
-
-    #[test]
-    fn single_shard_degenerates_gracefully() {
-        let store = ShardedStore::new(0);
-        store.set(1, 1);
-        store.set(u64::MAX, 2);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.scan(0, 10).len(), 2);
-        store.shutdown();
     }
 }

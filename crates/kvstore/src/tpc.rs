@@ -1,8 +1,7 @@
 //! The thread-per-core data plane (DESIGN.md §16).
 //!
-//! The hardened [`crate::Server`] spends a thread per connection and a
-//! round trip per op; at scale it dies at the thread count, not the
-//! index. [`TpcServer`] is the shared-nothing replacement: N worker
+//! A thread per connection and a round trip per op dies at the thread
+//! count, not the index. [`TpcServer`] is shared-nothing instead: N worker
 //! threads (default `available_parallelism`), each owning
 //!
 //! - its **own listener** (so a routing client can target a worker),
@@ -23,23 +22,28 @@
 //!
 //! Both protocols are served, negotiated by the first byte of the
 //! session: `0xDF` selects the `DYF1` binary frame (`crate::frame`),
-//! anything else the line protocol — over the *same* resource envelope
-//! the threaded server enforces ([`ServerOptions`]: connection budget
-//! with `ERR busy` admission, capped request lines, idle-timeout
-//! reaping, and a graceful deadline drain).
+//! anything else the line protocol — under one resource envelope
+//! ([`ServerOptions`]: connection budget with `ERR busy` admission, capped
+//! request lines, idle-timeout reaping, and a graceful deadline drain).
 //!
-//! Cross-shard reads (`LEN`, a `SCAN` spanning range boundaries) are
-//! gathered without stopping writers and are therefore not atomic across
-//! shards — the same contract [`crate::ShardedStore`] documents.
+//! Every op on a key is applied by the one thread that owns the key's
+//! shard, in the order it reaches that thread, and answered only after it
+//! is applied. Cross-shard reads are not atomic: `LEN` sums per-shard
+//! counts and a `SCAN` spanning range boundaries chains per-shard scans
+//! in shard order, both gathered while writers on other shards keep
+//! running. A `SCAN` result is therefore sorted and each shard's slice of
+//! it is a consistent snapshot of that shard, but a write to a later shard
+//! that happens after the scan began can appear while a concurrent write
+//! to an earlier shard does not.
 
 #![cfg(unix)]
 
 use crate::frame::{self, Decoded};
 use crate::protocol::{self, format_response, parse_request, Request, Response};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
-use crate::{DrainReport, ServerOptions};
+use crate::{shard_of, DrainReport, ServerOptions};
 use dytis::DyTis;
-use index_traits::{Key, KvIndex, Value};
+use index_traits::{Key, KvIndex, MaintenanceStats, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Result, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -56,19 +60,15 @@ pub struct TpcOptions {
     /// Worker (event-loop) threads; `0` (the default) means
     /// `available_parallelism`.
     pub workers: usize,
-    /// The resource envelope, shared with the threaded server: the
-    /// connection budget and `live_connections` gauge are global across
-    /// workers, timeouts and the line cap apply per connection.
+    /// The resource envelope: the connection budget and
+    /// `live_connections` gauge are global across workers, timeouts and
+    /// the line cap apply per connection.
     pub server: ServerOptions,
 }
 
-/// The worker whose shard owns `key`, for `workers` workers: contiguous,
-/// monotone key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`), so
-/// cross-shard scans visit workers in index order. Shared with the
-/// routing client so both sides compute the same partition.
-#[inline]
-pub fn shard_of(key: Key, workers: usize) -> usize {
-    ((u128::from(key) * workers as u128) >> 64) as usize
+/// Smallest key `shard_of` assigns to shard `i` of `shards`.
+fn shard_start(i: usize, shards: usize) -> Key {
+    (((i as u128) << 64).div_ceil(shards as u128)) as Key
 }
 
 /// How many bytes one wakeup reads from one connection before moving on.
@@ -92,7 +92,9 @@ struct Shared {
 }
 
 /// A cross-worker message. `Apply` asks the shard owner to run one op;
-/// `Done` returns the result to the connection's owning worker.
+/// `Done` returns the result to the connection's owning worker; `Stats`
+/// asks a worker (from the [`TpcServer`] handle) for its shard's
+/// maintenance counters.
 enum Msg {
     Apply {
         from: usize,
@@ -107,6 +109,7 @@ enum Msg {
         idx: u32,
         resp: RemoteResp,
     },
+    Stats(Sender<MaintenanceStats>),
 }
 
 enum RemoteOp {
@@ -129,6 +132,7 @@ enum RemoteResp {
 pub struct TpcServer {
     addrs: Vec<SocketAddr>,
     shared: Arc<Shared>,
+    senders: Vec<Sender<Msg>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -145,18 +149,57 @@ impl TpcServer {
         Self::with_options(addr, TpcOptions::default())
     }
 
-    /// Starts with an explicit worker count and resource envelope.
+    /// Starts with an explicit worker count and resource envelope, every
+    /// shard empty.
     ///
     /// # Errors
     ///
-    /// Returns any bind or reactor-setup error, or `InvalidInput` when an
-    /// explicit port plus the worker count would overflow the port space.
+    /// As [`TpcServer::with_shards`].
     pub fn with_options<A: ToSocketAddrs>(addr: A, opts: TpcOptions) -> Result<TpcServer> {
         let workers = if opts.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             opts.workers
         };
+        let shards = (0..workers).map(|_| DyTis::new()).collect();
+        Self::with_shards(addr, opts.server, shards)
+    }
+
+    /// Serves pre-built shards — a restored checkpoint, or indexes built
+    /// with chosen `Params`: one worker per shard, worker `i` owning
+    /// `shards[i]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns any bind or reactor-setup error, and `InvalidInput` when
+    /// `shards` is empty, when shard `i` holds a key that
+    /// `shard_of(key, shards.len())` assigns to another shard, or when an
+    /// explicit port plus the worker count would overflow the port space.
+    pub fn with_shards<A: ToSocketAddrs>(
+        addr: A,
+        server: ServerOptions,
+        shards: Vec<DyTis>,
+    ) -> Result<TpcServer> {
+        let workers = shards.len();
+        if workers == 0 {
+            return Err(std::io::Error::new(ErrorKind::InvalidInput, "no shards"));
+        }
+        for (i, shard) in shards.iter().enumerate() {
+            // `shard_of` is monotone, so the shard is in range iff its
+            // smallest key is and nothing sits at or past the next
+            // shard's first key.
+            let mut past = Vec::new();
+            if i + 1 < workers {
+                shard.scan(shard_start(i + 1, workers), 1, &mut past);
+            }
+            let first = shard.first_key();
+            if first.is_some_and(|k| shard_of(k, workers) != i) || !past.is_empty() {
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidInput,
+                    format!("shard {i} of {workers} holds keys outside its shard_of range"),
+                ));
+            }
+        }
         let base = addr
             .to_socket_addrs()?
             .next()
@@ -192,7 +235,7 @@ impl TpcServer {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             live: AtomicUsize::new(0),
-            opts: opts.server,
+            opts: server,
             workers,
             wakes,
         });
@@ -204,16 +247,18 @@ impl TpcServer {
             inboxes.push(rx);
         }
         let mut handles = Vec::with_capacity(workers);
-        for (id, (listener, inbox)) in listeners.into_iter().zip(inboxes).enumerate() {
-            let peers: Vec<Sender<Msg>> = senders.iter().map(Sender::clone).collect();
+        let parts = listeners.into_iter().zip(inboxes).zip(shards);
+        for (id, ((listener, inbox), index)) in parts.enumerate() {
+            let peers = senders.clone();
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || {
-                Worker::new(id, listener, inbox, peers, shared).run();
+                Worker::new(id, listener, inbox, peers, shared, index).run();
             }));
         }
         Ok(TpcServer {
             addrs,
             shared,
+            senders,
             handles,
         })
     }
@@ -239,6 +284,28 @@ impl TpcServer {
         // relaxed: observability read of a standalone gauge; callers that
         // need an edge synchronise through a completed round trip.
         self.shared.live.load(Ordering::Relaxed)
+    }
+
+    /// Structure-maintenance counters (splits, expansions, remaps,
+    /// doublings, shrinks, keys moved) summed over every shard. Each worker
+    /// answers between wakeup batches, so a shard's counters are exact for
+    /// some instant during the call; the sum is not one global instant.
+    pub fn maintenance_stats(&self) -> MaintenanceStats {
+        let (tx, rx) = channel();
+        for (sender, wake) in self.senders.iter().zip(&self.shared.wakes) {
+            // A send only fails once that worker exited (shutdown): its
+            // shard is gone and contributes nothing.
+            if sender.send(Msg::Stats(tx.clone())).is_ok() {
+                wake.wake();
+            }
+        }
+        // `recv` must end when the last worker-held clone drops.
+        drop(tx);
+        let mut total = MaintenanceStats::default();
+        while let Ok(stats) = rx.recv() {
+            total.merge(&stats);
+        }
+        total
     }
 
     /// Stops accepting, force-closes every connection, and joins workers
@@ -420,6 +487,7 @@ impl Worker {
         inbox: Receiver<Msg>,
         peers: Vec<Sender<Msg>>,
         shared: Arc<Shared>,
+        index: DyTis,
     ) -> Worker {
         Worker {
             id,
@@ -427,7 +495,7 @@ impl Worker {
             inbox,
             peers,
             shared,
-            index: DyTis::new(),
+            index,
             conns: HashMap::new(),
             next_conn_id: 0,
         }
@@ -527,9 +595,9 @@ impl Worker {
                 Err(_) => break,
             };
             // Admission: one global budget across all workers.
-            // relaxed: the budget is advisory-exact like the threaded
-            // server's registry count; a transient over/under of one
-            // connection during a race is acceptable and self-corrects.
+            // relaxed: the budget is advisory-exact; a transient
+            // over/under of one connection during a race is acceptable
+            // and self-corrects.
             let live = self.shared.live.fetch_add(1, Ordering::Relaxed);
             if live >= self.shared.opts.max_connections {
                 // relaxed: undoing the advisory increment above.
@@ -1060,8 +1128,6 @@ impl Worker {
                     next_shard,
                 },
             );
-            let remaining = limit; // recomputed per hop from acc.len()
-            let _ = remaining;
             self.forward_scan_hop(id, seq);
         }
     }
@@ -1168,6 +1234,9 @@ impl Worker {
                 } => {
                     self.complete(conn, seq, idx, resp);
                     flush_ids.push(conn);
+                }
+                Msg::Stats(reply) => {
+                    let _ = reply.send(self.index.stats().ops);
                 }
             }
         }
@@ -1507,24 +1576,6 @@ fn serialize_len(binary: bool, total: u64) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_of_is_monotone_and_total() {
-        for workers in [1usize, 2, 3, 4, 7, 16] {
-            assert_eq!(shard_of(0, workers), 0);
-            assert_eq!(shard_of(u64::MAX, workers), workers - 1);
-            let mut prev = 0;
-            for i in 0..1000u64 {
-                let k = i.wrapping_mul(0x0018_4A73_9F2E_11D3);
-                let _ = k;
-                let key = i * (u64::MAX / 1000);
-                let s = shard_of(key, workers);
-                assert!(s >= prev, "shard_of must be monotone");
-                assert!(s < workers);
-                prev = s;
-            }
-        }
-    }
-
     /// An explicit port must actually be listened on (worker 0), with
     /// workers 1..N on the next sequential ports. Regression: every
     /// worker used to bind port 0, silently discarding the request.
@@ -1570,6 +1621,48 @@ mod tests {
             },
         );
         assert!(res.is_err(), "port 65535 + 2 workers must fail, not wrap");
+    }
+
+    /// `with_shards` serves what it was handed (worker `i` owns
+    /// `shards[i]`, chosen `Params` included), `maintenance_stats` sums the
+    /// shards' live counters, and a shard holding another shard's key is
+    /// refused at start instead of silently shadowing it.
+    #[test]
+    fn with_shards_serves_prebuilt_shards_and_reports_their_maintenance() {
+        let hi = 1u64 << 63; // first key of shard 1 of 2
+        assert_eq!(shard_start(1, 2), hi);
+        assert_eq!(shard_of(shard_start(2, 3), 3), 2);
+        assert_eq!(shard_of(shard_start(2, 3) - 1, 3), 1);
+        let build = |keys: &[Key]| {
+            let mut idx = DyTis::with_params(dytis::Params::small());
+            for &k in keys {
+                idx.insert(k, k);
+            }
+            idx
+        };
+        let opts = ServerOptions::default;
+        for misplaced in [
+            vec![build(&[hi]), build(&[])],
+            vec![build(&[]), build(&[hi - 1])],
+        ] {
+            let err = TpcServer::with_shards("127.0.0.1:0", opts(), misplaced).err();
+            assert_eq!(err.map(|e| e.kind()), Some(ErrorKind::InvalidInput));
+        }
+        assert!(TpcServer::with_shards("127.0.0.1:0", opts(), Vec::new()).is_err());
+
+        let server = TpcServer::with_shards("127.0.0.1:0", opts(), vec![build(&[5]), build(&[hi])])
+            .expect("start");
+        assert_eq!(server.workers(), 2);
+        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        assert_eq!(c.scan(0, 10).expect("scan"), vec![(5, 5), (hi, hi)]);
+        let before = server.maintenance_stats();
+        // Small geometry: 2k keys per shard overflow buckets many times.
+        let pairs: Vec<(Key, Value)> = (0..4_000u64).map(|i| (i << 52, i)).collect();
+        c.set_batch(&pairs).expect("load");
+        let grown = server.maintenance_stats().delta_since(&before);
+        assert!(grown.total_ops() > 0 && grown.keys_moved > 0, "{grown:?}");
+        c.quit().expect("quit");
+        assert!(server.shutdown().drained);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The DESIGN.md §11 resource envelope, re-run against the thread-per-core
-//! server (DESIGN.md §16): the refactor must keep every hardening
-//! guarantee of the threaded server — connection budget with `ERR busy`
-//! admission, capped request lines with resync, idle reaping, and a
-//! deadline-bounded drain — while serving from poll(2) event loops.
+//! The resource envelope under attack (DESIGN.md §16): connection budget
+//! with `ERR busy` admission, capped request lines with resync, idle
+//! reaping, a deadline-bounded drain, and raw wire abuse that must never
+//! drop a connection or misalign a pipeline. Every server here runs ≥ 2
+//! workers, and cases with small keys dial worker 1 (`far_conn`), so the
+//! cross-worker forwarding hop is on the path.
 
 #![cfg(unix)]
 
 use kvstore::{Client, RetryPolicy, ServerOptions, TpcOptions, TpcServer};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn tpc(workers: usize, server: ServerOptions) -> TpcServer {
@@ -20,6 +21,12 @@ fn raw_conn(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     stream.set_nodelay(true).expect("nodelay");
     let reader = BufReader::new(stream.try_clone().expect("clone"));
     (stream, reader)
+}
+
+/// A raw connection to worker 1 of a 2-worker server: every key below
+/// `2^63` belongs to worker 0, so each keyed op takes the forwarding hop.
+fn far_conn(server: &TpcServer) -> (TcpStream, BufReader<TcpStream>) {
+    raw_conn(server.worker_addrs()[1])
 }
 
 fn read_line(reader: &mut BufReader<TcpStream>) -> String {
@@ -291,4 +298,244 @@ fn clients_on_different_workers_share_the_keyspace() {
         "cross-shard scan must be globally sorted"
     );
     server.shutdown();
+}
+
+#[test]
+fn invalid_utf8_gets_err_and_connection_survives() {
+    let server = tpc(2, ServerOptions::default());
+    let (mut stream, mut reader) = far_conn(&server);
+
+    // 0xFF 0xFE is not valid UTF-8 anywhere in a line.
+    stream.write_all(b"\xff\xfe garbage\n").expect("write");
+    let resp = read_line(&mut reader);
+    assert!(resp.starts_with("ERR"), "expected ERR, got {resp:?}");
+
+    stream.write_all(b"SET 1 100\nGET 1\n").expect("write");
+    assert_eq!(read_line(&mut reader), "OK");
+    assert_eq!(read_line(&mut reader), "VALUE 100");
+    server.shutdown();
+}
+
+#[test]
+fn malformed_command_stream_yields_err_per_line() {
+    let server = tpc(2, ServerOptions::default());
+    let (mut stream, mut reader) = far_conn(&server);
+
+    stream
+        .write_all(b"FROB 1\nSET 1\nSET a b\nGET 1 2 3\nLEN\n")
+        .expect("write");
+    for _ in 0..4 {
+        let resp = read_line(&mut reader);
+        assert!(resp.starts_with("ERR"), "expected ERR, got {resp:?}");
+    }
+    assert_eq!(read_line(&mut reader), "LEN 0");
+    server.shutdown();
+}
+
+#[test]
+fn crlf_and_blank_lines_are_tolerated() {
+    let server = tpc(2, ServerOptions::default());
+    let (mut stream, mut reader) = far_conn(&server);
+
+    // Windows-style line endings and blank lines (skipped, no response).
+    stream
+        .write_all(b"SET 7 70\r\n\r\n\nGET 7\r\n")
+        .expect("write");
+    assert_eq!(read_line(&mut reader), "OK");
+    assert_eq!(read_line(&mut reader), "VALUE 70");
+    server.shutdown();
+}
+
+#[test]
+fn quit_closes_cleanly_after_errors() {
+    let server = tpc(2, ServerOptions::default());
+    let (mut stream, mut reader) = far_conn(&server);
+
+    stream.write_all(b"\xff\xff\xff\nQUIT\n").expect("write");
+    assert!(read_line(&mut reader).starts_with("ERR"));
+    assert_eq!(read_line(&mut reader), "BYE");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("eof");
+    assert!(rest.is_empty());
+    server.shutdown();
+}
+
+/// A request is complete only at its newline: a peer that dies mid-write
+/// must not get the prefix it managed to send applied as a shorter request.
+#[test]
+fn truncated_request_is_never_applied() {
+    let server = tpc(2, ServerOptions::default());
+    let (mut stream, mut reader) = far_conn(&server);
+
+    stream.write_all(b"SET 7 70\nSET 8 8").expect("write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut replies = String::new();
+    reader.read_to_string(&mut replies).expect("read to EOF");
+    assert_eq!(replies, "OK\n", "only the terminated request is answered");
+
+    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+    assert_eq!(c.get(7).expect("get 7"), Some(70));
+    assert_eq!(c.get(8).expect("get 8"), None, "`SET 8 8` had no newline");
+    assert_eq!(c.len().expect("len"), 1);
+    server.shutdown();
+}
+
+/// A slowloris writer — bytes trickling in with no newline — cannot hold
+/// a line buffer open past the cap; it gets the oversized-line error and
+/// the connection then resyncs normally.
+#[test]
+fn slowloris_writer_hits_the_line_cap() {
+    let opts = ServerOptions {
+        max_line_bytes: 64,
+        read_timeout: Some(Duration::from_secs(10)),
+        ..ServerOptions::default()
+    };
+    let server = tpc(2, opts);
+    let (mut stream, mut reader) = far_conn(&server);
+
+    // 16 bytes at a time; after 5 writes (80 bytes > 64) the server must
+    // refuse the line even though no newline ever arrived.
+    for _ in 0..5 {
+        stream.write_all(&[b'z'; 16]).expect("trickle");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(read_line(&mut reader).starts_with("ERR line too long"));
+
+    stream.write_all(b"\nSET 9 90\nGET 9\n").expect("write");
+    assert_eq!(read_line(&mut reader), "OK");
+    assert_eq!(read_line(&mut reader), "VALUE 90");
+    server.shutdown();
+}
+
+/// Byte-exact cap boundary over a real socket: a request line of exactly
+/// `max_line_bytes` is served, one byte more gets `ERR line too long` and
+/// the connection resyncs — whether the line arrives in one write or one
+/// byte per write (every incremental accumulation path in the worker).
+#[test]
+fn line_cap_boundary_over_the_wire() {
+    let cap = 64usize;
+    let opts = ServerOptions {
+        max_line_bytes: cap,
+        ..ServerOptions::default()
+    };
+    let server = tpc(2, opts);
+    // "GET 7" padded with trailing spaces: the parser tolerates
+    // whitespace, so the at-cap line is a well-formed request.
+    let at_cap = format!("GET 7{}\n", " ".repeat(cap - 5));
+    let over_cap = format!("GET 7{}\n", " ".repeat(cap - 4));
+    assert_eq!((at_cap.len(), over_cap.len()), (cap + 1, cap + 2));
+
+    for trickle in [false, true] {
+        let (mut stream, mut reader) = far_conn(&server);
+        let mut send = |line: &str| {
+            if trickle {
+                for b in line.bytes() {
+                    stream.write_all(&[b]).expect("trickle byte");
+                }
+            } else {
+                stream.write_all(line.as_bytes()).expect("write");
+            }
+        };
+        send(&at_cap);
+        assert_eq!(read_line(&mut reader), "MISS", "trickle={trickle}");
+        send(&over_cap);
+        let resp = read_line(&mut reader);
+        assert!(resp.starts_with("ERR line too long"), "got {resp:?}");
+        send("SET 7 70\nGET 7\nDEL 7\n");
+        assert_eq!(read_line(&mut reader), "OK");
+        assert_eq!(read_line(&mut reader), "VALUE 70");
+        assert_eq!(read_line(&mut reader), "DELETED 70");
+    }
+    server.shutdown();
+}
+
+/// A mid-pipeline `ERR` must not misalign batch replies. The line cap
+/// rejects exactly one op of the batch; the client must consume one reply
+/// per op, report which op failed, and stay in lockstep afterwards.
+#[test]
+fn mid_pipeline_err_does_not_misalign_batches() {
+    // Cap of 20 bytes: "SET <20-digit-key> <v>" exceeds it, "SET 1 10"
+    // does not — so one specific op of the batch draws the error.
+    let opts = ServerOptions {
+        max_line_bytes: 20,
+        ..ServerOptions::default()
+    };
+    let server = tpc(2, opts);
+    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+
+    let long_key = u64::MAX; // 20 decimal digits
+    let pairs = [(1u64, 10u64), (long_key, 20), (3, 30)];
+    let report = c.set_batch_report(&pairs).expect("set_batch_report");
+    assert_eq!(report.failures.len(), 1, "exactly one op must fail");
+    assert_eq!(report.failures[0].0, 1, "the oversized op is index 1");
+    assert!(
+        report.failures[0].1.contains("line too long"),
+        "failure must carry the server message, got {:?}",
+        report.failures[0].1
+    );
+
+    // The stream is still aligned. (The long key cannot be GETted — its
+    // request line also exceeds the cap — so its absence shows up as
+    // LEN 2 and a 2-row scan.)
+    assert_eq!(c.get(1).expect("get"), Some(10));
+    assert_eq!(c.get(3).expect("get"), Some(30));
+    assert_eq!(c.len().expect("len"), 2);
+    assert_eq!(c.scan(0, 10).expect("scan"), vec![(1, 10), (3, 30)]);
+
+    let (vals, report) = c
+        .get_batch_report(&[1, long_key, 3])
+        .expect("get_batch_report");
+    assert_eq!(vals, vec![Some(10), None, Some(30)]);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].0, 1);
+
+    // The Result-shaped wrappers surface the failure as an error but
+    // still drain the pipeline: the connection survives.
+    let err = c.set_batch(&pairs).expect_err("set_batch must error");
+    assert!(err.to_string().contains("op 1"), "got {err}");
+    assert_eq!(c.len().expect("len after err"), 2);
+    c.quit().expect("quit");
+    server.shutdown();
+}
+
+#[test]
+fn batched_ops_round_trip() {
+    let server = tpc(2, ServerOptions::default());
+    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+    let pairs: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k * 2)).collect();
+    c.set_batch(&pairs).expect("set_batch");
+    assert_eq!(c.len().expect("len"), pairs.len());
+    let keys: Vec<u64> = (0..3_001u64).collect();
+    let got = c.get_batch(&keys).expect("get_batch");
+    let want: Vec<Option<u64>> = keys.iter().map(|&k| (k < 3_000).then_some(k * 2)).collect();
+    assert_eq!(got, want);
+    // The connection is still in lockstep after batches.
+    assert_eq!(c.get(1).expect("get"), Some(2));
+    c.quit().expect("quit");
+    server.shutdown();
+}
+
+#[test]
+fn connect_with_retry_reaches_a_live_server() {
+    let server = tpc(2, ServerOptions::default());
+    let mut c = Client::connect_with_retry(server.worker_addrs()[1], &RetryPolicy::default())
+        .expect("retry connect");
+    c.set(1, 1).expect("set");
+    c.quit().expect("quit");
+    server.shutdown();
+}
+
+#[test]
+fn connect_with_retry_gives_up_on_dead_address() {
+    // Bind-then-drop guarantees a port with no listener.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("probe addr");
+    let policy = RetryPolicy {
+        attempts: 3,
+        initial_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(4),
+    };
+    let err = Client::connect_with_retry(addr, &policy);
+    assert!(err.is_err(), "connect to a dropped listener succeeded");
 }

@@ -1,9 +1,9 @@
 //! A KV service with checkpoint/restore: the full "data management system"
 //! loop the paper's introduction motivates.
 //!
-//! Starts the Memcached-style server on DyTIS, ingests a review-like
-//! dataset over TCP, checkpoints the store to disk, restarts a fresh server
-//! from the checkpoint, and verifies the restored state.
+//! Starts the thread-per-core server on DyTIS shards, ingests a review-like
+//! dataset over TCP, checkpoints the store to disk, restarts a server that
+//! serves the restored checkpoint, and reads the keys back over the wire.
 //!
 //! ```sh
 //! cargo run --release --example checkpoint_server
@@ -12,45 +12,33 @@
 use dytis_repro::datasets::{Dataset, DatasetSpec};
 use dytis_repro::dytis::persist;
 use dytis_repro::dytis::{DyTis, Params};
-use dytis_repro::index_traits::{ConcurrentKvIndex, KvIndex};
-use dytis_repro::kvstore::{Client, Server};
+use dytis_repro::index_traits::KvIndex;
+use dytis_repro::kvstore::{shard_of, BinClient, ServerOptions, TpcServer};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
 fn main() {
     let n = 50_000;
     let keys = DatasetSpec::new(Dataset::ReviewM, n).generate();
+    let pairs: Vec<(u64, u64)> = keys.iter().zip(0u64..).map(|(&k, i)| (k, i)).collect();
 
     // Phase 1: serve and ingest over TCP.
-    let server = Server::start("127.0.0.1:0").expect("bind");
-    let addr = server.addr();
-    let mut client = Client::connect(addr).expect("connect");
-    for (i, &k) in keys.iter().enumerate() {
-        client.set(k, i as u64).expect("set");
-    }
-    assert_eq!(client.len().expect("len"), n);
-    println!("ingested {n} keys over TCP");
+    let server = TpcServer::start("127.0.0.1:0").expect("bind");
+    let mut client = BinClient::connect(server.addr()).expect("connect");
+    client.set_batch(&pairs).expect("ingest");
+    assert_eq!(client.len().expect("len"), n as u64);
+    println!(
+        "ingested {n} keys over TCP into {} shards",
+        server.workers()
+    );
 
-    // Phase 2: checkpoint. The server's store is concurrent; for the
-    // checkpoint we drain it into a single-threaded index via scan (a
-    // consistent snapshot would take the segment locks; this example uses
-    // the quiesced-server approach).
+    // Phase 2: checkpoint. The shards live inside the worker threads, so
+    // the (quiesced) store is drained over the wire — `scan` chains
+    // frame-sized requests until the key space is exhausted — into one
+    // single-threaded index, which is written as one DYTIS2 stream.
     let mut snapshot = DyTis::new();
-    let mut batch = Vec::new();
-    let mut cursor = 0u64;
-    loop {
-        batch.clear();
-        server.store().scan(cursor, 4096, &mut batch);
-        if batch.is_empty() {
-            break;
-        }
-        for &(k, v) in &batch {
-            snapshot.insert(k, v);
-        }
-        match batch.last() {
-            Some(&(k, _)) if k < u64::MAX => cursor = k + 1,
-            _ => break,
-        }
+    for (k, v) in client.scan(0, usize::MAX).expect("scan") {
+        snapshot.insert(k, v);
     }
     let path = std::env::temp_dir().join("dytis_checkpoint.bin");
     let mut w = BufWriter::new(File::create(&path).expect("create"));
@@ -65,13 +53,35 @@ fn main() {
         std::fs::metadata(&path).expect("stat").len()
     );
 
-    // Phase 3: restore into a fresh index and serve again.
+    // Phase 3: restart. Load the checkpoint, deal its pairs out to one
+    // shard per worker with the server's own partition function, and serve
+    // those shards.
     let mut r = BufReader::new(File::open(&path).expect("open"));
     let restored = persist::load_from(&mut r, Params::default()).expect("restore");
     assert_eq!(restored.len(), n);
-    for (i, &k) in keys.iter().enumerate().step_by(487) {
-        assert_eq!(restored.get(k), Some(i as u64));
+    let workers = 2;
+    let mut shards: Vec<DyTis> = (0..workers).map(|_| DyTis::new()).collect();
+    let mut all = Vec::with_capacity(n);
+    restored.scan(0, n, &mut all);
+    for (k, v) in all {
+        shards[shard_of(k, workers)].insert(k, v);
     }
-    println!("restored {} keys; spot checks passed", restored.len());
+    let server = TpcServer::with_shards("127.0.0.1:0", ServerOptions::default(), shards)
+        .expect("restart from checkpoint");
+    let mut client = BinClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.len().expect("len"), n as u64);
+    let probe: Vec<(u64, u64)> = pairs.iter().copied().step_by(487).collect();
+    let probe_keys: Vec<u64> = probe.iter().map(|&(k, _)| k).collect();
+    let got = client.get_batch(&probe_keys).expect("get_batch");
+    for (&(k, v), got) in probe.iter().zip(got) {
+        assert_eq!(got, Some(v), "key {k} lost across the restart");
+    }
+    println!(
+        "restarted on {} shards from the checkpoint; {} spot checks passed over TCP",
+        server.workers(),
+        probe.len()
+    );
+    client.quit().expect("quit");
+    server.shutdown();
     std::fs::remove_file(&path).expect("cleanup");
 }
