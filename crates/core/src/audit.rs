@@ -1,9 +1,9 @@
 //! Deep structural audits ([`index_traits::Auditable`]) for DyTIS.
 //!
-//! The segment-level walk lives here so all three variants — the
-//! single-threaded [`DyTis`], the segment-locked [`crate::ConcurrentDyTis`],
-//! and the bucket-locked [`crate::ConcurrentDyTisFine`] — verify the same
-//! invariants the same way:
+//! The segment-level walk lives here so the single-threaded [`DyTis`] and
+//! the concurrent shell [`crate::concurrent::Concurrent`] (at either lock
+//! granularity: [`crate::ConcurrentDyTis`], [`crate::ConcurrentDyTisFine`])
+//! verify the same invariants the same way:
 //!
 //! * the remapping function is a trie whose leaves tile the segment's key
 //!   range in order, with cumulative bucket offsets equal to the in-order
@@ -13,8 +13,9 @@
 //! * per-segment and per-table key counts add up.
 //!
 //! Directory-level checks (alignment, coverage, sibling links) are
-//! implemented next to each directory representation because the field
-//! layouts differ; they report through the same [`AuditReport`].
+//! implemented next to each of the two directory representations (`eh.rs`,
+//! `concurrent.rs`) because the field layouts differ; they report through
+//! the same [`AuditReport`].
 
 use crate::params::Params;
 use crate::remap::mask64;

@@ -16,6 +16,12 @@
 //! functions are adjusted locally, one segment at a time, as keys arrive
 //! (split / remapping / expansion / directory doubling, Algorithm 1).
 //!
+//! The concurrent index (§3.4) is [`concurrent::Concurrent`]: one latch
+//! protocol with the lock granularity as a policy. [`ConcurrentDyTis`] is
+//! the paper's scheme, segment locks (`concurrent/segment_locks.rs`);
+//! [`ConcurrentDyTisFine`] is the bucket-lock variant the paper rejected
+//! (`concurrent/bucket_locks.rs`), kept for the ablation.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +43,6 @@
 pub mod audit;
 pub mod bucket;
 pub mod concurrent;
-pub mod concurrent_fine;
 pub mod cursor;
 pub mod eh;
 pub mod epoch;
@@ -49,8 +54,7 @@ pub mod simd;
 pub mod stats;
 pub mod sync;
 
-pub use concurrent::{ConcurrentDyTis, ReadStats};
-pub use concurrent_fine::ConcurrentDyTisFine;
+pub use concurrent::{ConcurrentDyTis, ConcurrentDyTisFine, ReadStats};
 pub use cursor::{CursorInvalidated, ScanCursor};
 pub use params::Params;
 pub use stats::{DytisStats, OpTimes};

@@ -10,13 +10,13 @@
 //! |---|---|
 //! | `insert_vs_split` | concurrent insert while another insert splits the segment and doubles the directory |
 //! | `get_vs_directory_doubling` | read-path (dir read → segment read) racing structural surgery under the dir write lock |
-//! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`) |
+//! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`), at both lock granularities |
 //! | `counter_dispatch_maintenance_race` | the PR 4 counter fast path: both threads see a full bucket, one repairs, the other must re-check (`bucket_len`) and retry, losing nothing |
 //! | `fine_variant_concurrent_inserts` | bucket-granularity variant: segment read + per-bucket mutex inserts racing maintenance |
 //! | `seeded_torn_counter_is_caught` | non-vacuity: a deliberately broken insert (torn counter update outside the lock) must produce a counterexample |
 //! | `optimistic_get_vs_split` | lock-free read (snapshot → version → `try_read` → revalidate) racing segment split + directory doubling |
 //! | `optimistic_get_vs_doubling` | both stable keys read optimistically while the directory doubles under the writer |
-//! | `optimistic_get_vs_remap` | optimistic read racing an in-place `remap_adjust` under the segment write lock (the seqlock version-bump window) |
+//! | `optimistic_get_vs_remap` | optimistic read racing a `remap_adjust` inside the slot's version-bump window — in place under segment locks, copy-out / swap-in under bucket locks |
 //! | `fine_optimistic_get_vs_split` | same race on the bucket-locked variant's slot-versioned read path |
 //! | `epoch_defers_frees_while_pinned` | garbage retired after a reader pins is never freed while the pin is held |
 //! | `seeded_use_after_retire_is_caught` | non-vacuity: `collect_ignoring_pins` (a deliberately broken collector) frees under a live pin and the model catches it |
@@ -27,7 +27,8 @@
 //! forces a pure remap.
 #![cfg(loom)]
 
-use dytis::{ConcurrentDyTis, ConcurrentDyTisFine, Params};
+use dytis::concurrent::{BucketLocks, Concurrent, Granularity, SegmentLocks};
+use dytis::{ConcurrentDyTis, Params};
 use index_traits::{Auditable, ConcurrentKvIndex};
 use loom::sync::Arc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,12 +51,26 @@ fn key(i: u64) -> u64 {
     i << 40
 }
 
-fn prefilled(n: u64) -> Arc<ConcurrentDyTis> {
-    let idx = Arc::new(ConcurrentDyTis::with_params(tiny()));
+fn prefilled<G: Granularity>(n: u64) -> Arc<Concurrent<G>> {
+    let idx = Arc::new(Concurrent::with_params(tiny()));
     for i in 0..n {
         idx.insert(key(i), i);
     }
     idx
+}
+
+/// `loom::model`, plus a line on stderr (`--nocapture`) with the number of
+/// schedules explored; the shim itself only reports the count on failure.
+fn model(name: &str, f: impl Fn() + Send + Sync + 'static) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let schedules = std::sync::Arc::new(AtomicUsize::new(0));
+    let seen = std::sync::Arc::clone(&schedules);
+    loom::model(move || {
+        seen.fetch_add(1, Ordering::Relaxed);
+        f();
+    });
+    let n = schedules.load(Ordering::Relaxed);
+    eprintln!("loom: {name}: {n} schedule(s)");
 }
 
 /// Insert racing a segment split + directory doubling: the 3rd and 4th
@@ -63,8 +78,8 @@ fn prefilled(n: u64) -> Arc<ConcurrentDyTis> {
 /// `maintain` (directory write lock) and the fast-path retry loop.
 #[test]
 fn insert_vs_split() {
-    loom::model(|| {
-        let idx = prefilled(2);
+    model("insert_vs_split", || {
+        let idx = prefilled::<SegmentLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -89,8 +104,8 @@ fn insert_vs_split() {
 /// interleaving — keys are never dropped by structural surgery.
 #[test]
 fn get_vs_directory_doubling() {
-    loom::model(|| {
-        let idx = prefilled(2);
+    model("get_vs_directory_doubling", || {
+        let idx = prefilled::<SegmentLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -110,8 +125,13 @@ fn get_vs_directory_doubling() {
 /// Every prefilled key must appear, in order, in every interleaving.
 #[test]
 fn scan_vs_remap() {
-    loom::model(|| {
-        let idx = prefilled(6);
+    scan_vs_remap_on::<SegmentLocks>("scan_vs_remap");
+    scan_vs_remap_on::<BucketLocks>("scan_vs_remap (bucket locks)");
+}
+
+fn scan_vs_remap_on<G: Granularity>(name: &str) {
+    model(name, || {
+        let idx = prefilled::<G>(6);
         let remaps_before = idx.maintenance_stats().remaps;
         let t = {
             let idx = Arc::clone(&idx);
@@ -140,8 +160,8 @@ fn scan_vs_remap() {
 /// occupancy counters must audit clean.
 #[test]
 fn counter_dispatch_maintenance_race() {
-    loom::model(|| {
-        let idx = prefilled(2);
+    model("counter_dispatch_maintenance_race", || {
+        let idx = prefilled::<SegmentLocks>(2);
         // Both keys land in the region of the (full) initial bucket.
         let t = {
             let idx = Arc::clone(&idx);
@@ -164,11 +184,8 @@ fn counter_dispatch_maintenance_race() {
 /// overflowing inserts must both land.
 #[test]
 fn fine_variant_concurrent_inserts() {
-    loom::model(|| {
-        let idx = Arc::new(ConcurrentDyTisFine::with_params(tiny()));
-        for i in 0..2 {
-            idx.insert(key(i), i);
-        }
+    model("fine_variant_concurrent_inserts", || {
+        let idx = prefilled::<BucketLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -196,8 +213,8 @@ fn fine_variant_concurrent_inserts() {
 /// interleaving.
 #[test]
 fn optimistic_get_vs_split() {
-    loom::model(|| {
-        let idx = prefilled(2);
+    model("optimistic_get_vs_split", || {
+        let idx = prefilled::<SegmentLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -218,8 +235,8 @@ fn optimistic_get_vs_split() {
 /// snapshot depending on the schedule.
 #[test]
 fn optimistic_get_vs_doubling() {
-    loom::model(|| {
-        let idx = prefilled(2);
+    model("optimistic_get_vs_doubling", || {
+        let idx = prefilled::<SegmentLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -239,8 +256,13 @@ fn optimistic_get_vs_doubling() {
 /// or post-probe version mismatch).
 #[test]
 fn optimistic_get_vs_remap() {
-    loom::model(|| {
-        let idx = prefilled(6);
+    optimistic_get_vs_remap_on::<SegmentLocks>("optimistic_get_vs_remap");
+    optimistic_get_vs_remap_on::<BucketLocks>("optimistic_get_vs_remap (bucket locks)");
+}
+
+fn optimistic_get_vs_remap_on<G: Granularity>(name: &str) {
+    model(name, || {
+        let idx = prefilled::<G>(6);
         let remaps_before = idx.maintenance_stats().remaps;
         let t = {
             let idx = Arc::clone(&idx);
@@ -262,11 +284,8 @@ fn optimistic_get_vs_remap() {
 /// `try_read` + bucket mutex) racing split + doubling.
 #[test]
 fn fine_optimistic_get_vs_split() {
-    loom::model(|| {
-        let idx = Arc::new(ConcurrentDyTisFine::with_params(tiny()));
-        for i in 0..2 {
-            idx.insert(key(i), i);
-        }
+    model("fine_optimistic_get_vs_split", || {
+        let idx = prefilled::<BucketLocks>(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -294,7 +313,7 @@ fn epoch_defers_frees_while_pinned() {
         }
     }
 
-    loom::model(|| {
+    model("epoch_defers_frees_while_pinned", || {
         let c = Arc::new(dytis::epoch::Collector::new());
         let freed = std::sync::Arc::new(AtomicBool::new(false));
         let guard = c.pin().expect("fresh collector has free slots");

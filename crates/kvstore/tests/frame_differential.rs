@@ -233,7 +233,10 @@ fn large_batches_and_scans_chunk_below_frame_limits() {
 
     // Deletes answer 2 words per key too and must chunk the same way.
     let deleted = bin.del_batch(&keys).expect("del_batch");
-    assert!(deleted.iter().enumerate().all(|(i, v)| *v == Some(i as u64)));
+    assert!(deleted
+        .iter()
+        .enumerate()
+        .all(|(i, v)| *v == Some(i as u64)));
     assert_eq!(bin.len().expect("len"), 0);
     bin.quit().expect("quit");
 
@@ -308,7 +311,11 @@ fn no_bytes_are_applied_after_a_fatal_frame_error() {
         (frame::RESP_ERR, &[frame::ERR_BAD_FRAME][..])
     );
     let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0, "no EOF after fault");
+    assert_eq!(
+        stream.read_to_end(&mut rest).unwrap_or(0),
+        0,
+        "no EOF after fault"
+    );
 
     let mut c = Client::connect(server.addr()).expect("connect");
     assert_eq!(c.get(1).expect("get"), Some(10), "pre-fault set lost");

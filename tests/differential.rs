@@ -15,6 +15,7 @@
 //! divergence.
 
 use dytis_repro::alex_index::Alex;
+use dytis_repro::dytis::concurrent::{BucketLocks, Concurrent, Granularity, SegmentLocks};
 use dytis_repro::dytis::{DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{Auditable, Key, KvIndex, Value};
@@ -546,22 +547,21 @@ fn differential_concurrent_read_hammer() {
     );
 }
 
-/// The fine-grained variant's optimistic hit path must acquire no bucket
-/// mutex at all: every `get`/`scan` against a quiescent index is served
-/// from the per-bucket seqlocks, so `read_stats().locked` — which counts
-/// every read executed on the locked path — stays exactly zero.  The
+/// The optimistic hit path must acquire no lock at all, at either
+/// granularity (for the bucket-locked variant that includes the bucket
+/// mutexes: reads are served from the per-bucket seqlocks): across a
+/// `get`/`scan` storm against a quiescent index, `read_stats().locked` —
+/// which counts every read executed on the locked path — stays flat.  The
 /// differential half checks the answers against a `BTreeMap` oracle;
 /// the non-vacuity half flips `set_locked_reads(true)` and proves the
 /// same counter does move when the locked path actually runs.
-#[test]
-fn differential_fine_optimistic_reads_take_no_lock() {
-    use dytis_repro::dytis::ConcurrentDyTisFine;
+fn optimistic_reads_take_no_lock<G: Granularity>() {
     use dytis_repro::index_traits::ConcurrentKvIndex;
 
     const KEYS: u64 = 6_000;
     const SCAN_LEN: usize = 48;
 
-    let idx = ConcurrentDyTisFine::with_params(Params::small());
+    let idx = Concurrent::<G>::with_params(Params::small());
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     for i in 0..KEYS {
         let k = scramble(i);
@@ -617,37 +617,14 @@ fn differential_fine_optimistic_reads_take_no_lock() {
     idx.audit().assert_clean();
 }
 
-/// Same zero-lock claim for the coarse [`ConcurrentDyTis`]: its locked
-/// counter (fallbacks + forced mode) must stay flat across a quiescent
-/// read storm and move under `set_locked_reads(true)`.
+#[test]
+fn differential_fine_optimistic_reads_take_no_lock() {
+    optimistic_reads_take_no_lock::<BucketLocks>();
+}
+
 #[test]
 fn differential_coarse_optimistic_reads_take_no_lock() {
-    use dytis_repro::dytis::ConcurrentDyTis;
-    use dytis_repro::index_traits::ConcurrentKvIndex;
-
-    let idx = ConcurrentDyTis::with_params(Params::small());
-    let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
-    for i in 0..4_000u64 {
-        let k = scramble(i);
-        idx.insert(k, i);
-        oracle.insert(k, i);
-    }
-    let before = idx.read_stats();
-    let mut got = Vec::new();
-    for (i, (&k, &v)) in oracle.iter().enumerate() {
-        assert_eq!(idx.get(k), Some(v));
-        if i % 131 == 0 {
-            got.clear();
-            idx.scan(k, 16, &mut got);
-        }
-    }
-    let after = idx.read_stats();
-    assert_eq!(after.locked, before.locked, "quiescent reads took the lock");
-    idx.set_locked_reads(true);
-    for (&k, &v) in oracle.iter().take(32) {
-        assert_eq!(idx.get(k), Some(v));
-    }
-    assert!(idx.read_stats().locked > after.locked);
+    optimistic_reads_take_no_lock::<SegmentLocks>();
 }
 
 /// A deliberately buggy index: silently drops every Nth insert. Used to

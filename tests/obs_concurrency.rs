@@ -6,13 +6,23 @@
 //! Run with `cargo test --features metrics --test obs_concurrency`.
 #![cfg(feature = "metrics")]
 
-use dytis_repro::dytis::ConcurrentDyTis;
+use dytis_repro::dytis::{ConcurrentDyTis, ConcurrentDyTisFine, Params};
 use dytis_repro::index_traits::ConcurrentKvIndex;
 use dytis_repro::obs;
 use std::sync::Arc;
 
 const THREADS: u64 = 8;
 const OPS_PER_THREAD: u64 = 10_000;
+
+/// The registry is process-global: tests that reset it or compare counter
+/// deltas hold this for their whole body.
+static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Current value of the registered counter `name`.
+fn counter(snap: &obs::Snapshot, name: &str) -> Option<u64> {
+    let hit = snap.counters.iter().find(|(n, _)| n == name);
+    hit.map(|&(_, v)| v)
+}
 
 /// Golden-ratio scrambler: deterministic, well-spread keys.
 fn key(i: u64) -> u64 {
@@ -21,6 +31,7 @@ fn key(i: u64) -> u64 {
 
 #[test]
 fn histogram_totals_match_op_counts_under_8_thread_churn() {
+    let _serial = REGISTRY.lock().expect("a registry test panicked");
     obs::reset_all();
 
     let idx = Arc::new(ConcurrentDyTis::new());
@@ -56,11 +67,7 @@ fn histogram_totals_match_op_counts_under_8_thread_churn() {
 
     let snap = obs::snapshot();
     let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("counter {name} not registered"))
+        counter(&snap, name).unwrap_or_else(|| panic!("counter {name} not registered"))
     };
     let hist = |name: &str| {
         snap.histograms
@@ -94,8 +101,37 @@ fn histogram_totals_match_op_counts_under_8_thread_churn() {
     assert_eq!(idx.len(), (total / 2) as usize);
 }
 
+/// Both lock granularities share the shell's call sites, and `counter!`
+/// caches its handle per call site, so the shell's names are literals: a
+/// run that only ever builds the bucket-locked variant must credit its
+/// splits to `cdytis.split` and register nothing under `cdytis_fine.`.
+#[test]
+fn bucket_locked_variant_reports_under_the_cdytis_names() {
+    let _serial = REGISTRY.lock().expect("a registry test panicked");
+    let splits = || counter(&obs::snapshot(), "cdytis.split").unwrap_or(0);
+    let before = splits();
+    let idx = ConcurrentDyTisFine::with_params(Params::small());
+    for i in 0..5_000u64 {
+        idx.insert(key(i), i);
+    }
+    let own = idx.maintenance_stats().splits;
+    assert!(own > 0, "stream never split");
+    assert_eq!(splits() - before, own, "cdytis.split missed fine splits");
+    let snap = obs::snapshot();
+    let stale: Vec<_> = snap
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("cdytis_fine."))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "retired counter names registered: {stale:?}"
+    );
+}
+
 #[test]
 fn instrumented_index_paths_register_under_metrics() {
+    let _serial = REGISTRY.lock().expect("a registry test panicked");
     // A single-threaded pass over the instrumented single-threaded DyTis
     // hot paths must register the dytis.* metrics.
     use dytis_repro::dytis::DyTis;
@@ -111,12 +147,7 @@ fn instrumented_index_paths_register_under_metrics() {
 
     let snap = obs::snapshot();
     for name in ["dytis.insert", "dytis.get", "dytis.scan", "dytis.remove"] {
-        let v = snap
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("counter {name} not registered"));
+        let v = counter(&snap, name).unwrap_or_else(|| panic!("counter {name} not registered"));
         assert!(v > 0, "{name} never incremented");
     }
     for name in [
