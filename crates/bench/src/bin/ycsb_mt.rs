@@ -10,15 +10,9 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin ycsb_mt [-- --smoke] [--index dytis|dytis-fine|xindex]
-//!     [--net] [--read-scaling] [--out BENCH_ycsb.json]
+//! cargo run --release -p bench --bin ycsb_mt [-- --smoke] [--index dytis|xindex]
+//!     [--net] [--out BENCH_ycsb.json]
 //! ```
-//!
-//! `--read-scaling` runs the Figure-12-style read-path sweep instead:
-//! YCSB-B/C at 1/2/4/8 threads, optimistic reads vs the locked baseline
-//! (`set_locked_reads`), written to `BENCH_ycsb_readscale.json` with the
-//! read-retry/fallback and epoch-reclamation counters, and asserts the
-//! 8-thread YCSB-C ≥ 3× 1-thread bar on machines with ≥ 8 cores.
 //!
 //! `--smoke` shrinks the run for CI (~seconds). With `--features metrics`
 //! the obs registry snapshot is embedded under an `"obs"` key; without it
@@ -37,7 +31,7 @@
 //! path wins, recording both under a `"net_batch"` key.
 
 use bench::{base_keys, base_ops};
-use dytis::{ConcurrentDyTis, ConcurrentDyTisFine};
+use dytis::ConcurrentDyTis;
 use index_traits::{ConcurrentKvIndex, Key, MaintenanceStats, Value};
 use kvstore::{RoutedClient, TpcServer};
 use rand::rngs::StdRng;
@@ -65,7 +59,6 @@ const WORKLOADS: [Workload; 5] = [
 /// internal; counts read 0).
 enum MtIndex {
     Dytis(Arc<ConcurrentDyTis>),
-    DytisFine(Arc<ConcurrentDyTisFine>),
     Xindex(Arc<ConcurrentXIndex>),
 }
 
@@ -73,10 +66,9 @@ impl MtIndex {
     fn build(name: &str) -> MtIndex {
         match name {
             "dytis" => MtIndex::Dytis(Arc::new(ConcurrentDyTis::new())),
-            "dytis-fine" => MtIndex::DytisFine(Arc::new(ConcurrentDyTisFine::new())),
             "xindex" => MtIndex::Xindex(Arc::new(ConcurrentXIndex::new())),
             other => {
-                eprintln!("unknown index {other:?}; expected dytis | dytis-fine | xindex");
+                eprintln!("unknown index {other:?}; expected dytis | xindex");
                 std::process::exit(2);
             }
         }
@@ -85,7 +77,6 @@ impl MtIndex {
     fn as_dyn(&self) -> Arc<dyn ConcurrentKvIndex> {
         match self {
             MtIndex::Dytis(i) => Arc::clone(i) as _,
-            MtIndex::DytisFine(i) => Arc::clone(i) as _,
             MtIndex::Xindex(i) => Arc::clone(i) as _,
         }
     }
@@ -93,7 +84,6 @@ impl MtIndex {
     fn maintenance_stats(&self) -> MaintenanceStats {
         match self {
             MtIndex::Dytis(i) => i.maintenance_stats(),
-            MtIndex::DytisFine(i) => i.maintenance_stats(),
             MtIndex::Xindex(_) => MaintenanceStats::default(),
         }
     }
@@ -101,34 +91,7 @@ impl MtIndex {
     fn insert_retries(&self) -> u64 {
         match self {
             MtIndex::Dytis(i) => i.insert_retries(),
-            MtIndex::DytisFine(i) => i.insert_retries(),
             MtIndex::Xindex(_) => 0,
-        }
-    }
-
-    /// Forces the DyTIS variants onto their lock-based read path (the
-    /// pre-optimistic baseline); no-op for XIndex.
-    fn set_locked_reads(&self, locked: bool) {
-        match self {
-            MtIndex::Dytis(i) => i.set_locked_reads(locked),
-            MtIndex::DytisFine(i) => i.set_locked_reads(locked),
-            MtIndex::Xindex(_) => {}
-        }
-    }
-
-    fn read_stats(&self) -> dytis::ReadStats {
-        match self {
-            MtIndex::Dytis(i) => i.read_stats(),
-            MtIndex::DytisFine(i) => i.read_stats(),
-            MtIndex::Xindex(_) => dytis::ReadStats::default(),
-        }
-    }
-
-    fn epoch_stats(&self) -> dytis::epoch::EpochStats {
-        match self {
-            MtIndex::Dytis(i) => i.epoch_stats(),
-            MtIndex::DytisFine(i) => i.epoch_stats(),
-            MtIndex::Xindex(_) => dytis::epoch::EpochStats::default(),
         }
     }
 }
@@ -359,169 +322,9 @@ fn cell_json(c: &Cell) -> String {
     )
 }
 
-/// The Figure-12-style read-scaling sweep: YCSB-B and C at 1/2/4/8 threads,
-/// optimistic reads vs the `set_locked_reads(true)` baseline, on one loaded
-/// index per mode. Emits `BENCH_ycsb_readscale.json` and asserts the
-/// acceptance bar — 8-thread YCSB-C throughput at least 3x the 1-thread
-/// number on the optimistic path (only where the machine actually has 8
-/// cores; smaller boxes get a sanity bar instead).
-fn read_scaling(smoke: bool, index_name: &str, out_path: &str) {
-    struct RsCell {
-        workload: &'static str,
-        threads: usize,
-        mode: &'static str,
-        summary: Summary,
-        read_retries: u64,
-        read_fallbacks: u64,
-    }
-
-    let (n_keys, n_ops) = if smoke {
-        (40_000, 20_000)
-    } else {
-        (base_keys(), base_ops())
-    };
-    let keys = make_keys(n_keys);
-    eprintln!(
-        "[ycsb_mt] read-scaling index={index_name} keys={} ops={n_ops} smoke={smoke}",
-        keys.len()
-    );
-    let mut cells: Vec<RsCell> = Vec::new();
-    let mut epochs = Vec::new();
-    println!("| workload | threads | mode | Mops/s | p50 ns | p99 ns | read retries | fallbacks |");
-    println!("|---|---|---|---|---|---|---|---|");
-    for (mode, locked) in [("optimistic", false), ("locked", true)] {
-        // One loaded index per mode: B/C never insert fresh keys, so the
-        // structure is identical for every cell and cells stay comparable.
-        let idx = MtIndex::build(index_name);
-        idx.set_locked_reads(locked);
-        let dyn_idx = idx.as_dyn();
-        let load: Vec<Op> = keys.iter().map(|&k| Op::Insert(k, k)).collect();
-        run_threads(&dyn_idx, &load, 4);
-        for workload in [Workload::B, Workload::C] {
-            for threads in THREADS {
-                let ops = generate_ops(workload, &keys, &[], n_ops, 0xBE7C + threads as u64);
-                let before = idx.read_stats();
-                let summary = run_threads(&dyn_idx, &ops, threads);
-                let after = idx.read_stats();
-                let cell = RsCell {
-                    workload: workload.name(),
-                    threads,
-                    mode,
-                    summary,
-                    read_retries: after.retries - before.retries,
-                    read_fallbacks: after.fallbacks - before.fallbacks,
-                };
-                println!(
-                    "| {} | {} | {} | {:.2} | {} | {} | {} | {} |",
-                    cell.workload,
-                    cell.threads,
-                    cell.mode,
-                    cell.summary.mops,
-                    cell.summary.p50_ns,
-                    cell.summary.p99_ns,
-                    cell.read_retries,
-                    cell.read_fallbacks,
-                );
-                cells.push(cell);
-            }
-        }
-        let e = idx.epoch_stats();
-        eprintln!(
-            "[ycsb_mt] mode {mode}: epoch deferred={} freed={} pending={}",
-            e.deferred, e.freed, e.pending
-        );
-        epochs.push((mode, e));
-    }
-
-    // Acceptance bar. The locked baseline is retained in the same file, so
-    // the report can show the scaling gap rather than just the winner.
-    let mops = |mode: &str, workload: &str, threads: usize| {
-        cells
-            .iter()
-            .find(|c| c.mode == mode && c.workload == workload && c.threads == threads)
-            .map(|c| c.summary.mops)
-            .expect("cell present")
-    };
-    let c1 = mops("optimistic", Workload::C.name(), 1);
-    let c8 = mops("optimistic", Workload::C.name(), 8);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 8 {
-        assert!(
-            c8 >= 3.0 * c1,
-            "read scaling bar missed: YCSB-C {c8:.2} Mops at 8 threads vs \
-             {c1:.2} Mops at 1 thread (<3x) on {cores} cores"
-        );
-    } else {
-        eprintln!(
-            "[ycsb_mt] {cores} core(s): skipping the 3x/8-thread bar; \
-             sanity-checking throughput instead"
-        );
-        assert!(
-            c1 > 0.0 && c8 > 0.0,
-            "read-scaling sweep produced no throughput"
-        );
-    }
-
-    let mut json = String::from("{");
-    json.push_str(&format!(
-        "\"bench\":\"ycsb_readscale\",\"index\":\"{}\",\"keys\":{},\"ops\":{},\"smoke\":{},",
-        json_escape(index_name),
-        keys.len(),
-        n_ops,
-        smoke
-    ));
-    json.push_str("\"results\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let s = &c.summary;
-        json.push_str(&format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"threads\":{},\"mode\":\"{}\",\"ops\":{},",
-                "\"elapsed_ns\":{},\"mops\":{:.4},\"avg_ns\":{:.1},\"p50_ns\":{},",
-                "\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"p9999_ns\":{},",
-                "\"read_retries\":{},\"read_fallbacks\":{}}}"
-            ),
-            json_escape(c.workload),
-            c.threads,
-            c.mode,
-            s.ops,
-            s.elapsed_ns,
-            s.mops,
-            s.avg_ns,
-            s.p50_ns,
-            s.p90_ns,
-            s.p99_ns,
-            s.p999_ns,
-            s.p9999_ns,
-            c.read_retries,
-            c.read_fallbacks,
-        ));
-    }
-    json.push_str("],\"epoch\":{");
-    for (i, (mode, e)) in epochs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\"{mode}\":{{\"deferred\":{},\"freed\":{},\"pending\":{}}}",
-            e.deferred, e.freed, e.pending
-        ));
-    }
-    json.push('}');
-    if obs::ENABLED {
-        json.push_str(&format!(",\"obs\":{}", obs::snapshot().to_json()));
-    }
-    json.push('}');
-    std::fs::write(out_path, &json).expect("write BENCH_ycsb_readscale.json");
-    eprintln!("[ycsb_mt] wrote {out_path} ({} bytes)", json.len());
-}
-
 fn main() {
     let mut smoke = false;
     let mut net = false;
-    let mut read_scaling_mode = false;
     let mut index_name = String::from("dytis");
     let mut out_path = String::from("BENCH_ycsb.json");
     let mut args = std::env::args().skip(1);
@@ -529,7 +332,6 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--net" => net = true,
-            "--read-scaling" => read_scaling_mode = true,
             "--index" => {
                 index_name = args.next().unwrap_or_else(|| {
                     eprintln!("--index needs a value");
@@ -544,10 +346,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: ycsb_mt [--smoke] [--index dytis|dytis-fine|xindex] [--net] \
-                     [--read-scaling] [--out FILE]"
-                );
+                eprintln!("usage: ycsb_mt [--smoke] [--index dytis|xindex] [--net] [--out FILE]");
                 std::process::exit(2);
             }
         }
@@ -555,21 +354,6 @@ fn main() {
     if net && index_name != "dytis" {
         eprintln!("--net serves DyTis shards behind TpcServer; use --index dytis");
         std::process::exit(2);
-    }
-    if read_scaling_mode {
-        if net {
-            eprintln!("--read-scaling is an in-process sweep; drop --net");
-            std::process::exit(2);
-        }
-        if index_name == "xindex" {
-            eprintln!("--read-scaling compares DyTIS read paths; use --index dytis|dytis-fine");
-            std::process::exit(2);
-        }
-        if out_path == "BENCH_ycsb.json" {
-            out_path = String::from("BENCH_ycsb_readscale.json");
-        }
-        read_scaling(smoke, &index_name, &out_path);
-        return;
     }
 
     let (n_keys, n_ops) = if smoke {

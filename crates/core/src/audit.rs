@@ -1,9 +1,8 @@
 //! Deep structural audits ([`index_traits::Auditable`]) for DyTIS.
 //!
 //! The segment-level walk lives here so the single-threaded [`DyTis`] and
-//! the concurrent shell [`crate::concurrent::Concurrent`] (at either lock
-//! granularity: [`crate::ConcurrentDyTis`], [`crate::ConcurrentDyTisFine`])
-//! verify the same invariants the same way:
+//! the concurrent [`crate::ConcurrentDyTis`] verify the same invariants the
+//! same way:
 //!
 //! * the remapping function is a trie whose leaves tile the segment's key
 //!   range in order, with cumulative bucket offsets equal to the in-order

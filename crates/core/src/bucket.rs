@@ -170,15 +170,6 @@ impl Bucket {
         }
     }
 
-    /// Appends `(key, value)`; the caller guarantees `key` is greater than
-    /// every stored key (used by segment rebuilds over sorted input).
-    #[inline]
-    pub fn push_sorted(&mut self, key: Key, value: Value) {
-        debug_assert!(self.keys.last().is_none_or(|&last| last < key));
-        self.keys.push(key);
-        self.vals.push(value);
-    }
-
     /// Appends a sorted run of pairs; the caller guarantees every key in
     /// `pairs` is greater than every stored key (used by segment rebuilds
     /// over sorted input).

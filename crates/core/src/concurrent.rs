@@ -1,17 +1,18 @@
-//! Concurrent DyTIS (§3.4): one latch protocol, lock granularity as a
-//! policy (DESIGN.md §14).
+//! Concurrent DyTIS (§3.4): one latch protocol — a directory lock over
+//! per-segment reader/writer locks (DESIGN.md §14).
 //!
-//! [`Concurrent<G>`] is the shell. It owns everything the paper's scheme
-//! and the optimistic read path need regardless of granularity: the
-//! per-table directory lock, the [`Slot`] wrapper around every segment
-//! (version / retired flag / segment lock), the epoch-published directory
-//! snapshot, the bounded read ladder with its locked fallback, the insert
-//! retry loop, Algorithm 1's decision step, split / doubling installation,
-//! the counters and the audit. A [`Granularity`] supplies only what sits
-//! behind the slot lock and how it is probed, walked, updated and staged
-//! for repair: [`SegmentLocks`] is the paper's scheme
-//! ([`ConcurrentDyTis`]), [`BucketLocks`] the per-bucket variant the paper
-//! rejected ([`ConcurrentDyTisFine`]).
+//! [`ConcurrentDyTis`] owns the per-table directory lock, the `Slot`
+//! wrapper around every segment (version / retired flag / segment lock),
+//! the epoch-published directory snapshot, the bounded read ladder with its
+//! locked fallback, the insert retry loop, split / doubling installation,
+//! the counters and the audit. Algorithm 1's remap / expand / split
+//! decision is [`Segment::repair_in_place`], shared with the
+//! single-threaded [`crate::DyTis`]; this module only adds its bookkeeping.
+//!
+//! The slot lock is the only lock below the directory: every mutation of a
+//! segment (insert, remove/shrink, remapping, expansion) takes it in write
+//! mode, so the slot version brackets *every* change and a reader's
+//! revalidation alone proves its probe saw a stable segment.
 //!
 //! **Writers** keep the two-level locking per EH table: a high-level lock
 //! on the directory array and a low-level reader/writer lock per segment.
@@ -45,26 +46,13 @@
 use crate::epoch::{Collector, EpochPtr, EpochStats, Guard};
 use crate::params::Params;
 use crate::remap::mask64;
-use crate::segment::{RemapOutcome, Segment};
+use crate::segment::{adaptive_limit_mult, BucketUpsert, Repair, Segment};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, RwLock, RwLockWriteGuard};
 use index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, Value};
-use std::borrow::Cow;
-use std::convert::Infallible;
 
-mod bucket_locks;
-mod segment_locks;
-
-pub use bucket_locks::BucketLocks;
-pub use segment_locks::SegmentLocks;
-
-/// The multi-threaded DyTIS index of §3.4 (used by the Figure 12
-/// evaluation): one reader/writer lock per segment.
-pub type ConcurrentDyTis = Concurrent<SegmentLocks>;
-
-/// Concurrent DyTIS with per-bucket locks (ablation variant; prefer
-/// [`ConcurrentDyTis`], which the paper found faster).
-pub type ConcurrentDyTisFine = Concurrent<BucketLocks>;
+/// Index and audit-report name.
+const NAME: &str = "DyTIS (concurrent)";
 
 /// Optimistic probe attempts per `get` before falling back to locks.
 const READ_RETRIES: usize = 8;
@@ -81,36 +69,35 @@ const DIR_SNAPSHOT_COHERENT: &str = "dir-snapshot-coherent";
 const EPOCH_QUIESCENT: &str = "epoch-quiescent";
 
 /// Marker error: a writer's mutation window overlapped an optimistic read.
-pub struct Contended;
+struct Contended;
 
 /// A shared segment plus the metadata the optimistic read protocol needs.
-pub struct Slot<S> {
+struct Slot {
     /// Seqlock-style version: odd while a [`SlotWrite`] is live (bumped
     /// right after the write lock is acquired and right before it is
     /// released), even and strictly monotone otherwise. Readers validate
-    /// it around probes. Which mutations take a `SlotWrite` is the
-    /// granularity's choice.
+    /// it around probes.
     version: AtomicU64,
     /// Set (under the directory write lock, before the replacement
     /// snapshot is published) when a split removes this segment from the
     /// directory. Readers holding a stale snapshot bail out and reload.
     retired: AtomicBool,
-    data: RwLock<S>,
+    data: RwLock<Segment>,
 }
 
-impl<S> Slot<S> {
-    fn new(payload: S) -> Arc<Self> {
+impl Slot {
+    fn new(seg: Segment) -> Arc<Self> {
         Arc::new(Slot {
             version: AtomicU64::new(0),
             retired: AtomicBool::new(false),
-            data: RwLock::new(payload),
+            data: RwLock::new(seg),
         })
     }
 
     /// Write-locks the segment and marks the mutation window open (odd
     /// version). The guard closes the window (even again) on drop, before
     /// the lock itself is released.
-    fn write(&self) -> SlotWrite<'_, S> {
+    fn write(&self) -> SlotWrite<'_> {
         let guard = self.data.write();
         self.version.fetch_add(1, Ordering::SeqCst);
         SlotWrite { slot: self, guard }
@@ -118,25 +105,25 @@ impl<S> Slot<S> {
 }
 
 /// Write guard that brackets the segment mutation with version bumps.
-struct SlotWrite<'a, S> {
-    slot: &'a Slot<S>,
-    guard: RwLockWriteGuard<'a, S>,
+struct SlotWrite<'a> {
+    slot: &'a Slot,
+    guard: RwLockWriteGuard<'a, Segment>,
 }
 
-impl<S> std::ops::Deref for SlotWrite<'_, S> {
-    type Target = S;
-    fn deref(&self) -> &S {
+impl std::ops::Deref for SlotWrite<'_> {
+    type Target = Segment;
+    fn deref(&self) -> &Segment {
         &self.guard
     }
 }
 
-impl<S> std::ops::DerefMut for SlotWrite<'_, S> {
-    fn deref_mut(&mut self) -> &mut S {
+impl std::ops::DerefMut for SlotWrite<'_> {
+    fn deref_mut(&mut self) -> &mut Segment {
         &mut self.guard
     }
 }
 
-impl<S> Drop for SlotWrite<'_, S> {
+impl Drop for SlotWrite<'_> {
     fn drop(&mut self) {
         // Runs before the `guard` field drops, so the version returns to
         // even while the write lock is still held: a reader that sees an
@@ -154,19 +141,19 @@ fn dir_index(global_depth: u32, sk: u64, m_total: u32) -> usize {
 /// Immutable directory snapshot published to readers. The `Arc` clones
 /// keep every referenced segment alive independent of the live directory,
 /// so the epoch collector only ever has to reclaim snapshot boxes.
-struct Snapshot<S> {
+struct Snapshot {
     generation: u64,
     global_depth: u32,
-    entries: Vec<Arc<Slot<S>>>,
+    entries: Vec<Arc<Slot>>,
 }
 
 /// Directory of one concurrent EH table.
-struct Dir<S> {
+struct Dir {
     global_depth: u32,
     /// Bumped by every structural change (split installation, doubling);
     /// the published snapshot must always carry the current value.
     generation: u64,
-    entries: Vec<Arc<Slot<S>>>,
+    entries: Vec<Arc<Slot>>,
     /// Active segment-size limit multiplier (adaptive, §3.3).
     active_limit_mult: u32,
     limit_decided: bool,
@@ -174,9 +161,9 @@ struct Dir<S> {
 
 /// One concurrent EH table: directory lock + per-segment slots + the
 /// reader-facing snapshot + its maintenance counters.
-pub struct Table<S: Send + Sync + 'static> {
-    dir: RwLock<Dir<S>>,
-    snap: EpochPtr<Snapshot<S>>,
+struct Table {
+    dir: RwLock<Dir>,
+    snap: EpochPtr<Snapshot>,
     num_keys: AtomicUsize,
     splits: AtomicU64,
     expansions: AtomicU64,
@@ -185,9 +172,9 @@ pub struct Table<S: Send + Sync + 'static> {
     shrinks: AtomicU64,
 }
 
-impl<S: Send + Sync + 'static> Table<S> {
-    fn new(first: S, limit_mult: u32) -> Self {
-        let entries = vec![Slot::new(first)];
+impl Table {
+    fn new(limit_mult: u32) -> Self {
+        let entries = vec![Slot::new(Segment::new(0))];
         Table {
             snap: EpochPtr::new(Box::new(Snapshot {
                 generation: 0,
@@ -213,7 +200,7 @@ impl<S: Send + Sync + 'static> Table<S> {
     /// Re-publishes the directory as a fresh snapshot, retiring the old
     /// one through `epoch`. Caller must hold the directory write lock and
     /// have bumped `dir.generation` for the structural change.
-    fn publish(&self, dir: &Dir<S>, epoch: &Collector) {
+    fn publish(&self, dir: &Dir, epoch: &Collector) {
         self.snap.swap(
             Box::new(Snapshot {
                 generation: dir.generation,
@@ -246,116 +233,7 @@ impl<S: Send + Sync + 'static> Table<S> {
     }
 }
 
-/// Outcome of a granularity's fast-path upsert.
-pub enum Upsert {
-    /// Inserted or updated in place.
-    Done,
-    /// The bucket was full and a segment-local repair ran under the locks
-    /// already held; retry the fast path.
-    Repaired,
-    /// The bucket is full and the fix needs the directory write lock.
-    Full,
-}
-
-/// What differs between lock granularities: the payload behind a
-/// [`Slot`]'s lock and the operations that touch it. The shell calls every
-/// method with the directory lock it documents already held; methods take
-/// only slot-level and finer locks, in that order.
-pub trait Granularity: Sized + 'static {
-    /// What sits behind the slot lock.
-    type Payload: Send + Sync + 'static;
-    /// Index and audit-report name.
-    const NAME: &'static str;
-
-    /// Wraps a plain segment (initial segment, split halves).
-    fn wrap(seg: Segment, params: &Params) -> Self::Payload;
-
-    fn local_depth(seg: &Self::Payload) -> u32;
-
-    /// Plain-segment view for the audit (slot read lock held).
-    fn plain(seg: &Self::Payload) -> Cow<'_, Segment>;
-
-    /// Point probe under a held slot read guard, locked flavour: blocks
-    /// on finer locks if the granularity has any.
-    fn probe(idx: &Concurrent<Self>, seg: &Self::Payload, sk: u64, key: Key) -> Option<Value>;
-
-    /// Optimistic flavour of [`Granularity::probe`]: takes no lock below
-    /// the slot and may report [`Contended`] instead.
-    fn probe_optimistic(
-        idx: &Concurrent<Self>,
-        seg: &Self::Payload,
-        sk: u64,
-        key: Key,
-    ) -> Result<Option<Value>, Contended> {
-        Ok(Self::probe(idx, seg, sk, key))
-    }
-
-    /// Appends the segment's pairs to `out` until it holds `count`, from
-    /// the first key `>= start.1` (sub-key `start.0`) or from the first
-    /// bucket when `start` is `None`. Returns `true` once `count` is
-    /// reached. Locked flavour, as for [`Granularity::probe`].
-    fn walk(
-        idx: &Concurrent<Self>,
-        seg: &Self::Payload,
-        start: Option<(u64, Key)>,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool;
-
-    /// Optimistic flavour of [`Granularity::walk`]. On [`Contended`] the
-    /// caller rolls `out` back.
-    fn walk_optimistic(
-        idx: &Concurrent<Self>,
-        seg: &Self::Payload,
-        start: Option<(u64, Key)>,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> Result<bool, Contended> {
-        Ok(Self::walk(idx, seg, start, count, out))
-    }
-
-    /// Fast-path insert-or-update under the directory read lock. `repair`
-    /// is Algorithm 1's in-place step (the shell's `repair_in_place`),
-    /// for granularities whose fast path may mutate the whole segment.
-    fn upsert(
-        idx: &Concurrent<Self>,
-        table: &Table<Self::Payload>,
-        slot: &Slot<Self::Payload>,
-        sk: u64,
-        key: Key,
-        value: Value,
-        repair: impl FnOnce(&mut Segment) -> bool,
-    ) -> Upsert;
-
-    /// Remove under the directory read lock.
-    fn remove(
-        idx: &Concurrent<Self>,
-        table: &Table<Self::Payload>,
-        slot: &Slot<Self::Payload>,
-        sk: u64,
-        key: Key,
-    ) -> Option<Value>;
-
-    /// Slow path under the directory write lock: re-checks that `sk`'s
-    /// bucket is still full, runs `repair` (as for [`Granularity::upsert`])
-    /// if the fast path did not, and calls `split` with the victim's
-    /// contents if a split (preceded by doubling) is still needed. The
-    /// locks the granularity holds on the victim stay held until `split`
-    /// returns.
-    fn restructure(
-        idx: &Concurrent<Self>,
-        slot: &Slot<Self::Payload>,
-        sk: u64,
-        repair: impl FnOnce(&mut Segment) -> bool,
-        split: impl FnOnce(&Segment),
-    );
-
-    /// Seeded corruption for the audit tests: one key too many counted.
-    #[cfg(test)]
-    fn bump_key_count(seg: &mut Self::Payload);
-}
-
-/// Read-path statistics (always on, like [`Concurrent::insert_retries`]).
+/// Read-path statistics (always on, like [`ConcurrentDyTis::insert_retries`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Optimistic probe attempts that had to be repeated (version moved,
@@ -365,22 +243,23 @@ pub struct ReadStats {
     /// and completed on the locked path instead.
     pub fallbacks: u64,
     /// Reads (point or per-table scan legs) that executed under locks —
-    /// fallbacks plus everything served while `set_locked_reads(true)`.
-    /// Zero here proves the optimistic hit path took no lock at all.
+    /// fallbacks plus everything served while the locked-reads test hook
+    /// is on. Zero here proves the optimistic hit path took no lock at all.
     pub locked: u64,
 }
 
-/// The concurrent DyTIS shell; see the module docs and the two
-/// instantiations [`ConcurrentDyTis`] and [`ConcurrentDyTisFine`].
-pub struct Concurrent<G: Granularity> {
+/// The multi-threaded DyTIS index of §3.4 (used by the Figure 12
+/// evaluation): one reader/writer lock per segment under a per-table
+/// directory lock; see the module docs.
+pub struct ConcurrentDyTis {
     params: Params,
-    tables: Vec<Table<G::Payload>>,
+    tables: Vec<Table>,
     m_total: u32,
     /// Epoch collector for retired directory snapshots; shared by every
     /// table so one pin covers any snapshot the operation may load.
     epoch: Collector,
-    /// When set, `get`/`scan` skip the optimistic path entirely — the
-    /// lock-based baseline bar of the read-scaling sweep.
+    /// When set, `get`/`scan` skip the optimistic path entirely (test
+    /// hook, see `set_locked_reads`).
     locked_reads: AtomicBool,
     /// Times an insert lost its fast path to contention or a pending
     /// structural fix and had to retry through `maintain`.
@@ -390,7 +269,7 @@ pub struct Concurrent<G: Granularity> {
     read_locked: AtomicU64,
 }
 
-impl<G: Granularity> Concurrent<G> {
+impl ConcurrentDyTis {
     /// Creates an index with the paper's default parameters.
     pub fn new() -> Self {
         Self::with_params(Params::default())
@@ -405,9 +284,9 @@ impl<G: Granularity> Concurrent<G> {
         let r = params.first_level_bits;
         assert!((1..=16).contains(&r));
         let tables = (0..(1usize << r))
-            .map(|_| Table::new(G::wrap(Segment::new(0), &params), params.limit_mult))
+            .map(|_| Table::new(params.limit_mult))
             .collect();
-        Concurrent {
+        ConcurrentDyTis {
             params,
             tables,
             m_total: 64 - r,
@@ -423,9 +302,8 @@ impl<G: Granularity> Concurrent<G> {
     /// Totals of the structural maintenance operations performed so far
     /// (splits, segment expansions, remaps, directory doublings, shrinks),
     /// summed over all first-level tables.  Exact once writers have
-    /// quiesced.  `keys_moved` is not tracked by the concurrent variants
-    /// and reads 0; `shrinks` reads 0 under [`BucketLocks`], whose remove
-    /// path only takes a bucket latch and never merges.
+    /// quiesced.  `keys_moved` is not tracked by the concurrent index and
+    /// reads 0.
     pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
         let mut s = index_traits::MaintenanceStats::default();
         for t in &self.tables {
@@ -467,9 +345,8 @@ impl<G: Granularity> Concurrent<G> {
         self.epoch.stats()
     }
 
-    /// Forces `get`/`scan` onto the §3.4 locked path (`true`) or back to
-    /// optimistic reads (`false`, the default). Used as the baseline bar
-    /// in the read-scaling sweep.
+    /// Test hook: forces the locked fallback for every `get`/`scan`.
+    #[doc(hidden)]
     pub fn set_locked_reads(&self, locked: bool) {
         // relaxed: a mode toggle; it guards no data, and either path is
         // correct at any moment.
@@ -512,12 +389,31 @@ impl<G: Granularity> Concurrent<G> {
         self.read_locked.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Bucket index of sub-key `sk` within `seg`.
+    fn bucket_of(&self, seg: &Segment, sk: u64) -> usize {
+        seg.bucket_of(seg.local_key(sk, self.m_total), self.m_total)
+    }
+
+    /// Appends `seg`'s pairs to `out` until it holds `count`, from the
+    /// first key `>= start.1` (sub-key `start.0`) or from the first bucket
+    /// when `start` is `None`. Returns `true` once `count` is reached.
+    fn walk_segment(
+        &self,
+        seg: &Segment,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+    ) -> bool {
+        let (b, slot) = start.map_or((0, 0), |(sk, key)| {
+            let b = self.bucket_of(seg, sk);
+            (b, seg.buckets[b].lower_bound(key))
+        });
+        seg.walk_from(b, slot, count, out).is_some()
+    }
+
     /// One seqlock-validated visit of `slot`: version precheck →
     /// `try_read` → retired check → `probe` → revalidate. Never blocks.
-    fn read_slot<R>(
-        slot: &Slot<G::Payload>,
-        probe: impl FnOnce(&G::Payload) -> Result<R, Contended>,
-    ) -> Result<R, Contended> {
+    fn read_slot<R>(slot: &Slot, probe: impl FnOnce(&Segment) -> R) -> Result<R, Contended> {
         let v0 = slot.version.load(Ordering::SeqCst);
         if v0 & 1 == 1 {
             return Err(Contended); // Writer mid-mutation: don't even try the lock.
@@ -528,7 +424,7 @@ impl<G: Granularity> Concurrent<G> {
         if slot.retired.load(Ordering::SeqCst) {
             return Err(Contended); // Stale snapshot: reload and re-route.
         }
-        let r = probe(&seg)?;
+        let r = probe(&seg);
         drop(seg);
         if slot.version.load(Ordering::SeqCst) == v0 {
             Ok(r)
@@ -539,12 +435,7 @@ impl<G: Granularity> Concurrent<G> {
 
     /// Optimistic `get`: snapshot → seqlock-validated segment probe.
     /// `None` means "retry budget exhausted — take the locked path".
-    fn get_optimistic(
-        &self,
-        table: &Table<G::Payload>,
-        sk: u64,
-        key: Key,
-    ) -> Option<Option<Value>> {
+    fn get_optimistic(&self, table: &Table, sk: u64, key: Key) -> Option<Option<Value>> {
         let guard = self.epoch.pin()?;
         let mut retries = 0u64;
         let mut result = None;
@@ -553,7 +444,7 @@ impl<G: Granularity> Concurrent<G> {
         for _ in 0..READ_RETRIES {
             let snap = table.snap.load(&guard);
             let slot = &snap.entries[dir_index(snap.global_depth, sk, self.m_total)];
-            match Self::read_slot(slot, |seg| G::probe_optimistic(self, seg, sk, key)) {
+            match Self::read_slot(slot, |seg| seg.get(sk, key, self.m_total, &self.params)) {
                 Ok(v) => {
                     result = Some(v);
                     break;
@@ -566,82 +457,68 @@ impl<G: Granularity> Concurrent<G> {
     }
 
     /// Locked `get`: the original §3.4 two-lock path, kept as the
-    /// fallback and as the read-scaling baseline.
-    fn get_locked(&self, table: &Table<G::Payload>, sk: u64, key: Key) -> Option<Value> {
+    /// liveness fallback.
+    fn get_locked(&self, table: &Table, sk: u64, key: Key) -> Option<Value> {
         self.note_locked_read();
         let dir = table.dir.read();
         let seg = dir.entries[dir_index(dir.global_depth, sk, self.m_total)]
             .data
             .read();
-        G::probe(self, &seg, sk, key)
+        seg.get(sk, key, self.m_total, &self.params)
     }
 
-    /// Algorithm 1's decision for a full bucket, on a segment the caller
-    /// may mutate: remap or expand in place when the paper allows it.
+    /// Runs Algorithm 1's in-place step ([`Segment::repair_in_place`]) on
+    /// a segment whose bucket for `sk` is full, and counts what it did.
     /// Returns `false` when the fix is a split (preceded by directory
     /// doubling when `LD == GD`), which needs the directory write lock.
-    fn repair_in_place(
-        &self,
-        table: &Table<G::Payload>,
-        seg: &mut Segment,
-        sk: u64,
-        gd: u32,
-        limit_mult: u32,
-    ) -> bool {
+    fn try_repair(&self, table: &Table, seg: &mut Segment, sk: u64, dir: &Dir) -> bool {
         let p = &self.params;
-        let ld = seg.local_depth;
-        if ld < p.l_start {
-            return false; // Warm-up: plain Extendible-hashing split/doubling.
-        }
-        let cap_buckets = p.segment_cap(ld, limit_mult);
-        if seg.utilization(p) > p.utilization_threshold {
-            if ld < gd || !seg.expand(self.m_total, cap_buckets, p) {
-                return false;
+        let k = seg.local_key(sk, self.m_total);
+        let cap_buckets = p.segment_cap(seg.local_depth, dir.active_limit_mult);
+        match seg.repair_in_place(k, dir.global_depth, self.m_total, cap_buckets, p) {
+            Repair::NeedsSplit => return false,
+            Repair::Expanded => {
+                // relaxed: monotonic stats counter; every increment happens
+                // under a directory lock and the limit decision reads it under
+                // the directory write lock (see `split_install`).
+                table.expansions.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("cdytis.expand").inc();
             }
-            // relaxed: monotonic stats counter; every increment happens
-            // under a directory lock and the limit decision reads it under
-            // the directory write lock (see `split_install`).
-            table.expansions.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.expand").inc();
-        } else {
-            let k = seg.local_key(sk, self.m_total);
-            if seg.remap_adjust(k, self.m_total, cap_buckets, p) == RemapOutcome::Failed {
-                return false;
+            Repair::Remapped => {
+                // relaxed: see the expansion counter above.
+                table.remaps.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("cdytis.remap").inc();
             }
-            // relaxed: see the expansion counter above.
-            table.remaps.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.remap").inc();
         }
         true
     }
 
     /// Slow path: performs one structural step under the directory write
     /// lock, then returns so the fast path can retry.
-    fn maintain(&self, table: &Table<G::Payload>, sk: u64) {
+    fn maintain(&self, table: &Table, sk: u64) {
         let mut dir = table.dir.write();
         let slot = Arc::clone(&dir.entries[dir_index(dir.global_depth, sk, self.m_total)]);
-        let (gd, limit_mult) = (dir.global_depth, dir.active_limit_mult);
-        G::restructure(
-            self,
-            &slot,
-            sk,
-            |seg| self.repair_in_place(table, seg, sk, gd, limit_mult),
-            |victim| self.split_install(table, &mut dir, &slot, victim, sk),
-        );
+        // Writers all hold the directory read lock while holding a segment
+        // lock, so none can contend here; optimistic readers, however, may
+        // hold this segment's read lock without any directory lock, so this
+        // acquisition can block briefly. Readers never wait while holding a
+        // segment guard, so no deadlock cycle can form.
+        let seg = slot.write();
+        if seg.bucket_len(self.bucket_of(&seg, sk)) < self.params.bucket_entries {
+            return; // Another thread already fixed it.
+        }
+        // The fast path already ran Algorithm 1 on this segment and found
+        // no in-place repair. The victim's write lock is released last,
+        // when `seg` drops after `split_install` has published the new
+        // snapshot.
+        self.split_install(table, &mut dir, &slot, &seg, sk);
     }
 
     /// Doubles the directory if `victim` is at global depth, splits it,
     /// installs the halves, retires `slot` and publishes the new snapshot.
-    /// Caller holds the directory write lock (`dir`) and whatever lock
-    /// keeps `victim` stable, and releases the latter only afterwards.
-    fn split_install(
-        &self,
-        table: &Table<G::Payload>,
-        dir: &mut Dir<G::Payload>,
-        slot: &Slot<G::Payload>,
-        victim: &Segment,
-        sk: u64,
-    ) {
+    /// Caller holds the directory write lock (`dir`) and `slot`'s write
+    /// lock (`victim`), and releases the latter only afterwards.
+    fn split_install(&self, table: &Table, dir: &mut Dir, slot: &Slot, victim: &Segment, sk: u64) {
         let p = &self.params;
         let ld = victim.local_depth;
         if ld == dir.global_depth {
@@ -651,13 +528,12 @@ impl<G: Granularity> Concurrent<G> {
                 // relaxed: every increment happened under a directory
                 // lock, so holding the write lock here orders all of them
                 // before these loads; the counters need no own ordering.
-                let e = table.expansions.load(Ordering::Relaxed);
+                let expansions = table.expansions.load(Ordering::Relaxed);
                 // relaxed: same reasoning as the load above.
-                let tot =
-                    e + table.splits.load(Ordering::Relaxed) + table.remaps.load(Ordering::Relaxed);
-                if tot > 0 && e as f64 / tot as f64 >= p.expansion_heavy_fraction {
-                    dir.active_limit_mult = p.limit_mult_raised;
-                }
+                let splits = table.splits.load(Ordering::Relaxed);
+                // relaxed: same reasoning as the load above.
+                let remaps = table.remaps.load(Ordering::Relaxed);
+                dir.active_limit_mult = adaptive_limit_mult(splits, expansions, remaps, p);
             }
             dir.entries = dir
                 .entries
@@ -676,8 +552,8 @@ impl<G: Granularity> Concurrent<G> {
         let (left, right) = victim.split(self.m_total, p);
         let span = 1usize << (dir.global_depth - (ld + 1));
         let base = dir_index(dir.global_depth, sk, self.m_total) & !(span * 2 - 1);
-        let left = Slot::new(G::wrap(left, p));
-        let right = Slot::new(G::wrap(right, p));
+        let left = Slot::new(left);
+        let right = Slot::new(right);
         dir.entries[base..base + span].fill(left);
         dir.entries[base + span..base + 2 * span].fill(right);
         dir.generation += 1;
@@ -697,32 +573,28 @@ impl<G: Granularity> Concurrent<G> {
     /// Walks `entries` (a snapshot's or the locked directory's) in key
     /// order from `start`, visiting each segment once through `visit`,
     /// which reports `(done, local_depth)`.
-    fn walk_entries<E>(
+    fn walk_entries(
         &self,
-        entries: &[Arc<Slot<G::Payload>>],
+        entries: &[Arc<Slot>],
         global_depth: u32,
         start: Option<(u64, Key)>,
         count: usize,
         out: &mut Vec<(Key, Value)>,
-        mut visit: impl FnMut(
-            &Slot<G::Payload>,
-            Option<(u64, Key)>,
-            &mut Vec<(Key, Value)>,
-        ) -> Result<(bool, u32), E>,
-    ) -> Result<bool, E> {
+        mut visit: impl FnMut(&Slot, Option<(u64, Key)>, &mut Vec<(Key, Value)>) -> (bool, u32),
+    ) -> bool {
         let mut idx = start.map_or(0, |(sk, _)| dir_index(global_depth, sk, self.m_total));
         let mut first = start;
         while idx < entries.len() {
-            let (done, ld) = visit(&entries[idx], first.take(), out)?;
+            let (done, ld) = visit(&entries[idx], first.take(), out);
             if done {
-                return Ok(true);
+                return true;
             }
             // Align to the segment's first directory entry so each segment
             // is visited once.
             let span = 1usize << (global_depth - ld);
             idx = (idx & !(span - 1)) + span;
         }
-        Ok(out.len() >= count)
+        out.len() >= count
     }
 
     /// One optimistic attempt at scanning `table` from `start`.
@@ -730,7 +602,7 @@ impl<G: Granularity> Concurrent<G> {
     /// validation (the table's contribution has been rolled back).
     fn scan_table_optimistic(
         &self,
-        table: &Table<G::Payload>,
+        table: &Table,
         guard: &Guard<'_>,
         start: Option<(u64, Key)>,
         count: usize,
@@ -741,30 +613,36 @@ impl<G: Granularity> Concurrent<G> {
         }
         let base_len = out.len();
         let snap = table.snap.load(guard);
-        let walked = self.walk_entries(
+        let mut contended = false;
+        let done = self.walk_entries(
             &snap.entries,
             snap.global_depth,
             start,
             count,
             out,
             |slot, first, out| {
-                Self::read_slot(slot, |seg| {
-                    let done = G::walk_optimistic(self, seg, first, count, out)?;
-                    Ok((done, G::local_depth(seg)))
+                let walk = |seg: &Segment| {
+                    let done = self.walk_segment(seg, first, count, out);
+                    (done, seg.local_depth)
+                };
+                Self::read_slot(slot, walk).unwrap_or_else(|Contended| {
+                    contended = true;
+                    (true, 0) // Stops the walk; the rollback is below.
                 })
             },
         );
-        if walked.is_err() {
+        if contended {
             out.truncate(base_len);
+            return None;
         }
-        walked.ok()
+        Some(done)
     }
 
     /// Locked scan of one table from `start`; returns `true` when `count`
-    /// pairs have been collected. Fallback path and read-scaling baseline.
+    /// pairs have been collected. The liveness fallback of `scan_table`.
     fn scan_table_locked(
         &self,
-        table: &Table<G::Payload>,
+        table: &Table,
         start: Option<(u64, Key)>,
         count: usize,
         out: &mut Vec<(Key, Value)>,
@@ -774,7 +652,7 @@ impl<G: Granularity> Concurrent<G> {
         if table.keys() == 0 {
             return out.len() >= count;
         }
-        let walked = self.walk_entries(
+        self.walk_entries(
             &dir.entries,
             dir.global_depth,
             start,
@@ -782,19 +660,17 @@ impl<G: Granularity> Concurrent<G> {
             out,
             |slot, first, out| {
                 let seg = slot.data.read();
-                let done = G::walk(self, &seg, first, count, out);
-                Ok::<_, Infallible>((done, G::local_depth(&seg)))
+                let done = self.walk_segment(&seg, first, count, out);
+                (done, seg.local_depth)
             },
-        );
-        let Ok(done) = walked;
-        done
+        )
     }
 
     /// Scans one table, optimistic-first with a bounded restart budget and
     /// a locked fallback.
     fn scan_table(
         &self,
-        table: &Table<G::Payload>,
+        table: &Table,
         start: Option<(u64, Key)>,
         count: usize,
         out: &mut Vec<(Key, Value)>,
@@ -821,32 +697,75 @@ impl<G: Granularity> Concurrent<G> {
         }
         self.scan_table_locked(table, start, count, out)
     }
+
+    /// Intentionally broken insert, compiled only for model checking:
+    /// proves the loom models are non-vacuous.
+    ///
+    /// Identical to [`index_traits::ConcurrentKvIndex::insert`] except the
+    /// table key count is bumped *after* the segment lock is dropped, and
+    /// with a torn `load`+`store` instead of `fetch_add` — the "it's just a
+    /// counter" shortcut the §3.4 protocol forbids. The loom model in
+    /// `tests/loom_models.rs` must find the two-thread schedule where one
+    /// increment is lost (`len()` under-counts, the `table-key-count`
+    /// audit trips). Callers must pick keys that fit the existing buckets;
+    /// the maintenance slow path is deliberately not reproduced here.
+    #[cfg(loom)]
+    pub fn insert_seeded_torn_counter(&self, key: Key, value: Value) {
+        let table = &self.tables[self.table_of(key)];
+        let sk = self.sub_key(key);
+        let inserted = {
+            let dir = table.dir.read();
+            let slot = &dir.entries[dir_index(dir.global_depth, sk, self.m_total)];
+            let mut seg = slot.write();
+            let b = self.bucket_of(&seg, sk);
+            match seg.upsert_in_bucket(b, key, value, self.params.bucket_entries) {
+                BucketUpsert::Inserted => true,
+                BucketUpsert::Updated => false,
+                BucketUpsert::Full => panic!("seeded-bug insert requires a key that fits"),
+            }
+        };
+        if inserted {
+            // BUG (seeded): torn read-modify-write outside the critical
+            // section — a concurrent insert between the load and the store
+            // loses an increment.
+            let n = table.num_keys.load(Ordering::Acquire);
+            table.num_keys.store(n + 1, Ordering::Release);
+        }
+    }
 }
 
-impl<G: Granularity> Default for Concurrent<G> {
+impl Default for ConcurrentDyTis {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<G: Granularity> ConcurrentKvIndex for Concurrent<G> {
+impl ConcurrentKvIndex for ConcurrentDyTis {
     fn insert(&self, key: Key, value: Value) {
         let table = &self.tables[self.table_of(key)];
         let sk = self.sub_key(key);
         let mut attempts = 0u32;
         loop {
-            let step = {
+            let repaired = {
                 let dir = table.dir.read();
                 let slot = &dir.entries[dir_index(dir.global_depth, sk, self.m_total)];
-                G::upsert(self, table, slot, sk, key, value, |seg| {
-                    self.repair_in_place(table, seg, sk, dir.global_depth, dir.active_limit_mult)
-                })
+                let mut seg = slot.write();
+                let b = self.bucket_of(&seg, sk);
+                match seg.upsert_in_bucket(b, key, value, self.params.bucket_entries) {
+                    BucketUpsert::Updated => return,
+                    BucketUpsert::Inserted => {
+                        table.key_added();
+                        return;
+                    }
+                    // Segment-local fixes (remapping, expansion) only change
+                    // this segment object's contents, so they are legal under
+                    // the directory read lock + segment write lock held here;
+                    // splits and doubling need the directory write lock.
+                    BucketUpsert::Full => self.try_repair(table, &mut seg, sk, &dir),
+                }
             };
-            match step {
-                Upsert::Done => return,
-                // Repairs strictly grow the bucket's capacity share.
-                Upsert::Repaired => continue,
-                Upsert::Full => {}
+            if repaired {
+                continue; // Repairs strictly grow the bucket's capacity share.
             }
             attempts += 1;
             assert!(attempts < 10_000, "concurrent insert failed to converge");
@@ -874,7 +793,21 @@ impl<G: Granularity> ConcurrentKvIndex for Concurrent<G> {
         let sk = self.sub_key(key);
         let dir = table.dir.read();
         let slot = &dir.entries[dir_index(dir.global_depth, sk, self.m_total)];
-        G::remove(self, table, slot, sk, key)
+        let mut seg = slot.write();
+        let b = self.bucket_of(&seg, sk);
+        let v = seg.remove_from_bucket(b, key)?;
+        table.key_removed();
+        // Deletion merge (§3.3): a shrink only changes the segment object's
+        // contents, so the segment write lock suffices (§3.4).
+        if seg.total_buckets() > 1
+            && seg.utilization(&self.params) < self.params.shrink_threshold
+            && seg.shrink(self.m_total, &self.params)
+        {
+            // relaxed: monotonic stats counter, read after quiescence.
+            table.shrinks.fetch_add(1, Ordering::Relaxed);
+            obs::counter!("cdytis.shrink").inc();
+        }
+        Some(v)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
@@ -895,15 +828,14 @@ impl<G: Granularity> ConcurrentKvIndex for Concurrent<G> {
     }
 
     fn name(&self) -> &'static str {
-        G::NAME
+        NAME
     }
 }
 
-impl<G: Granularity> Auditable for Concurrent<G> {
+impl Auditable for ConcurrentDyTis {
     /// Deep audit under the documented lock order: per table, the directory
     /// read lock is taken first, then each segment's read lock in directory
-    /// order (one at a time), then whatever finer locks the granularity's
-    /// plain-segment view needs. Must not be called by a thread already
+    /// order (one at a time). Must not be called by a thread already
     /// holding one of this index's locks.
     ///
     /// On top of the structural invariants, the audit checks the
@@ -914,7 +846,7 @@ impl<G: Granularity> Auditable for Concurrent<G> {
     /// and with no readers pinned a collect must leave no garbage behind
     /// (`epoch-quiescent`).
     fn audit(&self) -> AuditReport {
-        let mut report = AuditReport::new(G::NAME);
+        let mut report = AuditReport::new(NAME);
         for (t, table) in self.tables.iter().enumerate() {
             let dir = table.dir.read();
             let gd = dir.global_depth;
@@ -929,7 +861,7 @@ impl<G: Granularity> Auditable for Concurrent<G> {
             let mut idx = 0usize;
             while idx < dir.entries.len() {
                 let slot = &dir.entries[idx];
-                let payload = slot.data.read();
+                let seg = slot.data.read();
                 // Holding the segment read lock excludes `SlotWrite`
                 // holders, whose mutation window is exactly the
                 // odd-version window.
@@ -946,7 +878,7 @@ impl<G: Granularity> Auditable for Concurrent<G> {
                         "directory-reachable segment is marked retired".into(),
                     )
                 });
-                let ld = G::local_depth(&payload);
+                let ld = seg.local_depth;
                 if !report.check(ld <= gd, "local-depth", || {
                     (
                         format!("table {t} / dir[{idx}]"),
@@ -975,7 +907,6 @@ impl<G: Granularity> Auditable for Concurrent<G> {
                     },
                 );
                 let loc = format!("table {t} / dir[{idx}]");
-                let seg = G::plain(&payload);
                 crate::audit::audit_segment(&seg, self.m_total, &self.params, &loc, &mut report);
                 if let Some((first, last)) = crate::audit::segment_key_bounds(&seg) {
                     let prefix = (idx / span) as u64;
@@ -1078,13 +1009,13 @@ mod tests {
 
     const SCRAMBLE: u64 = 0x9E3779B97F4A7C15;
 
-    fn small<G: Granularity>() -> Concurrent<G> {
-        Concurrent::with_params(Params::small())
+    fn small() -> ConcurrentDyTis {
+        ConcurrentDyTis::with_params(Params::small())
     }
 
     /// `small()` preloaded with keys `0..2_000` and audited clean — the
     /// starting point of every seeded-corruption test.
-    fn audited<G: Granularity>() -> Concurrent<G> {
+    fn audited() -> ConcurrentDyTis {
         let idx = small();
         for k in 0..2_000u64 {
             idx.insert(k, k);
@@ -1093,15 +1024,16 @@ mod tests {
         idx
     }
 
-    fn violates<G: Granularity>(idx: &Concurrent<G>, invariants: &[&str]) -> bool {
+    fn violates(idx: &ConcurrentDyTis, invariants: &[&str]) -> bool {
         idx.audit()
             .violations
             .iter()
             .any(|v| invariants.contains(&v.invariant))
     }
 
-    fn single_thread_roundtrip<G: Granularity>() {
-        let idx = small::<G>();
+    #[test]
+    fn single_thread_roundtrip() {
+        let idx = small();
         for k in 0..6_000u64 {
             idx.insert(k * 3, k);
         }
@@ -1115,8 +1047,9 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
-    fn locked_read_mode_matches_optimistic<G: Granularity>() {
-        let idx = small::<G>();
+    #[test]
+    fn locked_read_mode_matches_optimistic() {
+        let idx = small();
         for k in 0..6_000u64 {
             idx.insert(k.wrapping_mul(SCRAMBLE), k);
         }
@@ -1135,8 +1068,9 @@ mod tests {
         assert_eq!(locked, optimistic);
     }
 
-    fn maintenance_retires_snapshots_through_the_collector<G: Granularity>() {
-        let idx = small::<G>();
+    #[test]
+    fn maintenance_retires_snapshots_through_the_collector() {
+        let idx = small();
         for k in 0..6_000u64 {
             idx.insert(k * 3, k);
         }
@@ -1152,8 +1086,9 @@ mod tests {
         assert_eq!(st.pending, 0);
     }
 
-    fn concurrent_disjoint_inserts<G: Granularity>() {
-        let idx = StdArc::new(small::<G>());
+    #[test]
+    fn concurrent_disjoint_inserts() {
+        let idx = StdArc::new(small());
         let threads = 4;
         let per = 10_000u64;
         let handles: Vec<_> = (0..threads)
@@ -1179,8 +1114,9 @@ mod tests {
         }
     }
 
-    fn concurrent_overlapping_upserts<G: Granularity>() {
-        let idx = StdArc::new(small::<G>());
+    #[test]
+    fn concurrent_overlapping_upserts() {
+        let idx = StdArc::new(small());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let idx = StdArc::clone(&idx);
@@ -1200,8 +1136,9 @@ mod tests {
         }
     }
 
-    fn concurrent_readers_and_writers<G: Granularity>() {
-        let idx = StdArc::new(small::<G>());
+    #[test]
+    fn concurrent_readers_and_writers() {
+        let idx = StdArc::new(small());
         for i in 0..5_000u64 {
             idx.insert(i * 2, i);
         }
@@ -1244,8 +1181,9 @@ mod tests {
         assert_eq!(idx.len(), 15_000);
     }
 
-    fn audit_clean_after_concurrent_growth<G: Granularity>() {
-        let idx = StdArc::new(small::<G>());
+    #[test]
+    fn audit_clean_after_concurrent_growth() {
+        let idx = StdArc::new(small());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
                 let idx = StdArc::clone(&idx);
@@ -1264,17 +1202,19 @@ mod tests {
         report.assert_clean();
     }
 
-    fn audit_detects_corrupted_segment_key_count<G: Granularity>() {
-        let idx = audited::<G>();
+    #[test]
+    fn audit_detects_corrupted_segment_key_count() {
+        let idx = audited();
         {
             let dir = idx.tables[0].dir.read();
-            G::bump_key_count(&mut dir.entries[0].data.write());
+            dir.entries[0].data.write().num_keys += 1;
         }
         assert!(violates(&idx, &["segment-key-count", TABLE_KEY_COUNT]));
     }
 
-    fn audit_detects_torn_segment_version<G: Granularity>() {
-        let idx = audited::<G>();
+    #[test]
+    fn audit_detects_torn_segment_version() {
+        let idx = audited();
         // SEEDED CORRUPTION: leave a version odd with no writer present, as
         // if a mutation window never closed.
         {
@@ -1284,8 +1224,9 @@ mod tests {
         assert!(violates(&idx, &[SEG_VERSION_EVEN]));
     }
 
-    fn audit_detects_retired_live_segment<G: Granularity>() {
-        let idx = audited::<G>();
+    #[test]
+    fn audit_detects_retired_live_segment() {
+        let idx = audited();
         // SEEDED CORRUPTION: a reachable segment must never be retired.
         {
             let dir = idx.tables[0].dir.read();
@@ -1294,8 +1235,9 @@ mod tests {
         assert!(violates(&idx, &[SEG_LIVE]));
     }
 
-    fn audit_detects_stale_snapshot<G: Granularity>() {
-        let idx = audited::<G>();
+    #[test]
+    fn audit_detects_stale_snapshot() {
+        let idx = audited();
         // SEEDED CORRUPTION: publish a snapshot that does not mirror the
         // live directory (wrong generation).
         {
@@ -1312,18 +1254,20 @@ mod tests {
         assert!(violates(&idx, &[DIR_SNAPSHOT_COHERENT]));
     }
 
-    fn audit_detects_unreclaimed_epoch_garbage<G: Granularity>() {
-        let idx = audited::<G>();
+    #[test]
+    fn audit_detects_unreclaimed_epoch_garbage() {
+        let idx = audited();
         // SEEDED CORRUPTION: garbage stamped so no collect can free it —
         // the audit's quiescent collect must notice the leak.
         idx.epoch.retire_uncollectable(Box::new(0u64));
         assert!(violates(&idx, &[EPOCH_QUIESCENT]));
     }
 
-    fn read_hammer_fires_retries_and_deferred_frees<G: Granularity>() {
+    #[test]
+    fn read_hammer_fires_retries_and_deferred_frees() {
         // Writer splits/doubles under tiny geometry while readers spin:
         // the optimistic machinery must demonstrably fire, not idle.
-        let idx = StdArc::new(small::<G>());
+        let idx = StdArc::new(small());
         for i in 0..2_000u64 {
             idx.insert(i * 4, i);
         }
@@ -1357,8 +1301,9 @@ mod tests {
         idx.audit().assert_clean();
     }
 
-    fn remove_concurrent_smoke<G: Granularity>() {
-        let idx = small::<G>();
+    #[test]
+    fn remove_concurrent_smoke() {
+        let idx = small();
         for i in 0..5_000u64 {
             idx.insert(i, i);
         }
@@ -1371,64 +1316,81 @@ mod tests {
         assert_eq!(idx.get(3_000), Some(3_000));
     }
 
-    /// Runs every generic case above once per granularity.
-    macro_rules! for_each_granularity {
-        ($($case:ident),* $(,)?) => {
-            mod segment_locks {
-                $(#[test] fn $case() { super::$case::<super::SegmentLocks>() })*
-            }
-            mod bucket_locks {
-                $(#[test] fn $case() { super::$case::<super::BucketLocks>() })*
-            }
-        };
+    /// Single-threaded insert-only streams for the two decision pins below:
+    /// golden-ratio scrambled keys (expansion-heavy — long enough to raise
+    /// the §3.3 adaptive limit) and 200 clusters at `2^40` spacing filled
+    /// round-robin (remaps dominate).
+    fn streams() -> [(&'static str, Vec<Key>); 2] {
+        let scrambled = (0..40_000u64).map(|i| i.wrapping_mul(SCRAMBLE));
+        let clustered =
+            (0..40_000u64).map(|i| ((i % 200) << 40) | ((i / 200).wrapping_mul(SCRAMBLE) >> 30));
+        [
+            ("scrambled", scrambled.collect()),
+            ("clustered", clustered.collect()),
+        ]
     }
 
-    for_each_granularity!(
-        single_thread_roundtrip,
-        locked_read_mode_matches_optimistic,
-        maintenance_retires_snapshots_through_the_collector,
-        concurrent_disjoint_inserts,
-        concurrent_overlapping_upserts,
-        concurrent_readers_and_writers,
-        audit_clean_after_concurrent_growth,
-        audit_detects_corrupted_segment_key_count,
-        audit_detects_torn_segment_version,
-        audit_detects_retired_live_segment,
-        audit_detects_stale_snapshot,
-        audit_detects_unreclaimed_epoch_garbage,
-        read_hammer_fires_retries_and_deferred_frees,
-        remove_concurrent_smoke,
-    );
-
-    /// Lock granularity must not change Algorithm 1: the same
-    /// single-threaded insert-only stream makes the same maintenance
-    /// decisions — including the §3.3 adaptive segment-size limit, which
-    /// the stream is long enough to raise — under either policy.
+    /// `DyTis` and `ConcurrentDyTis` share Algorithm 1
+    /// (`Segment::repair_in_place`) and the §3.3 limit rule
+    /// (`adaptive_limit_mult`) but keep their own insert loops: the same
+    /// stream must make the same maintenance decisions through both.
     #[test]
-    fn granularities_agree_on_maintenance_decisions() {
-        let coarse = small::<SegmentLocks>();
-        let fine = small::<BucketLocks>();
-        for i in 0..40_000u64 {
-            let k = i.wrapping_mul(SCRAMBLE);
-            coarse.insert(k, i);
-            fine.insert(k, i);
+    fn dytis_and_concurrent_agree_on_maintenance_decisions() {
+        use index_traits::KvIndex;
+        for (name, keys) in streams() {
+            let mut single = crate::DyTis::with_params(Params::small());
+            let shell = small();
+            for (i, &k) in keys.iter().enumerate() {
+                single.insert(k, i as u64);
+                shell.insert(k, i as u64);
+            }
+            let single_limits: Vec<u32> = single
+                .tables
+                .iter()
+                .map(|t| t.active_limit_mult())
+                .collect();
+            let limit = |t: &Table| t.dir.read().active_limit_mult;
+            let shell_limits: Vec<u32> = shell.tables.iter().map(limit).collect();
+            if name == "scrambled" {
+                assert!(
+                    shell_limits.contains(&Params::small().limit_mult_raised),
+                    "stream never raised the adaptive limit"
+                );
+            }
+            assert_eq!(single_limits, shell_limits, "{name}");
+            let (a, b) = (single.stats().ops, shell.maintenance_stats());
+            assert_eq!(
+                (a.splits, a.expansions, a.remaps, a.doublings),
+                (b.splits, b.expansions, b.remaps, b.doublings),
+                "{name}"
+            );
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            single.scan(0, usize::MAX, &mut a);
+            shell.scan(0, usize::MAX, &mut b);
+            assert_eq!(a.len(), keys.len(), "{name}");
+            assert_eq!(a, b, "{name}");
+            single.audit().assert_clean();
+            shell.audit().assert_clean();
         }
-        fn limits<G: Granularity>(idx: &Concurrent<G>) -> Vec<u32> {
-            let active = |t: &Table<G::Payload>| t.dir.read().active_limit_mult;
-            idx.tables.iter().map(active).collect()
+    }
+
+    /// Golden pin of Algorithm 1: the exact maintenance counters of the
+    /// streams above, captured at the commit before the decision was lifted
+    /// into `Segment::repair_in_place`. A mismatch means a decision moved.
+    #[test]
+    fn maintenance_decisions_match_golden_counters() {
+        use index_traits::KvIndex;
+        // (splits, expansions, remaps, doublings, keys_moved)
+        let golden = [(60, 256, 0, 16, 60_018), (13, 3, 1_266, 13, 8_125_496)];
+        for ((name, keys), want) in streams().into_iter().zip(golden) {
+            let mut idx = crate::DyTis::with_params(Params::small());
+            for (i, &k) in keys.iter().enumerate() {
+                idx.insert(k, i as u64);
+            }
+            let s = idx.stats().ops;
+            let got = (s.splits, s.expansions, s.remaps, s.doublings, s.keys_moved);
+            assert_eq!(got, want, "{name}");
+            assert_eq!(s.shrinks, 0, "{name}");
         }
-        assert!(
-            limits(&coarse).contains(&Params::small().limit_mult_raised),
-            "stream never raised the adaptive limit"
-        );
-        assert_eq!(limits(&coarse), limits(&fine));
-        assert_eq!(coarse.maintenance_stats(), fine.maintenance_stats());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        coarse.scan(0, usize::MAX, &mut a);
-        fine.scan(0, usize::MAX, &mut b);
-        assert_eq!(a.len(), 40_000);
-        assert_eq!(a, b);
-        coarse.audit().assert_clean();
-        fine.audit().assert_clean();
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::params::Params;
 use crate::remap::{mask64, RemapFn};
-use crate::segment::{BucketUpsert, RemapOutcome, Segment};
+use crate::segment::{adaptive_limit_mult, BucketUpsert, Repair, Segment};
 use crate::stats::DytisStats;
 use index_traits::{Key, Value};
 use std::time::Instant;
@@ -185,38 +185,40 @@ impl EhTable {
                     BucketUpsert::Full => {}
                 }
             }
-            // Bucket is full: Algorithm 1.
+            // Bucket is full: Algorithm 1 (`Segment::repair_in_place`).
             self.maybe_decide_limit(params);
             let gd = self.global_depth;
-            if ld < params.l_start {
-                // Warm-up: plain Extendible hashing behaviour.
-                if ld == gd {
-                    self.double_directory();
-                }
-                let hint = self.dir_index(sk);
-                self.split(id, hint, params);
-                continue;
-            }
             let cap_buckets = params.segment_cap(ld, self.active_limit_mult);
-            let high_util = self.seg(id).utilization(params) > params.utilization_threshold;
-            let hint = self.dir_index(sk);
-            if ld < gd {
-                // High utilization goes straight to a split; otherwise try
-                // remapping first and split only when that fails.
-                if high_util || !self.try_remap(id, k, cap_buckets, params) {
-                    self.split(id, hint, params);
+            let t0 = Instant::now();
+            let n = self.seg(id).num_keys as u64;
+            let repair = self
+                .seg_mut(id)
+                .repair_in_place(k, gd, m_total, cap_buckets, params);
+            match repair {
+                Repair::Remapped => {
+                    self.stats.ops.remaps += 1;
+                    self.stats.ops.keys_moved += n;
+                    let dt = t0.elapsed().as_nanos() as u64;
+                    self.stats.times.remap_ns += dt;
+                    obs::counter!("dytis.remap").inc();
+                    obs::histogram!("dytis.remap_ns").record(dt);
+                    #[cfg(debug_assertions)]
+                    self.debug_audit_segment(id, params);
                 }
-            } else {
-                let ok = if high_util {
-                    self.try_expand(id, cap_buckets, params)
-                } else {
-                    self.try_remap(id, k, cap_buckets, params)
-                };
-                if !ok {
-                    self.double_directory();
-                    // Retry: the next iteration sees LD < GD and will split
-                    // (or remap) as Algorithm 1 prescribes.
+                Repair::Expanded => {
+                    self.stats.ops.expansions += 1;
+                    self.stats.ops.keys_moved += n;
+                    let dt = t0.elapsed().as_nanos() as u64;
+                    self.stats.times.expansion_ns += dt;
+                    obs::counter!("dytis.expand").inc();
+                    obs::histogram!("dytis.expand_ns").record(dt);
+                    #[cfg(debug_assertions)]
+                    self.debug_audit_segment(id, params);
                 }
+                // The next iteration sees LD < GD and splits (or remaps) as
+                // Algorithm 1 prescribes.
+                Repair::NeedsSplit if ld == gd => self.double_directory(),
+                Repair::NeedsSplit => self.split(id, self.dir_index(sk), params),
             }
         }
     }
@@ -229,51 +231,7 @@ impl EhTable {
         }
         self.limit_decided = true;
         let s = &self.stats.ops;
-        let window_total = s.splits + s.remaps + s.expansions;
-        if window_total > 0
-            && s.expansions as f64 / window_total as f64 >= params.expansion_heavy_fraction
-        {
-            self.active_limit_mult = params.limit_mult_raised;
-        }
-    }
-
-    fn try_remap(&mut self, id: SegId, k: u64, cap_buckets: usize, params: &Params) -> bool {
-        let m_total = self.m_total;
-        let t0 = Instant::now();
-        let n = self.seg(id).num_keys as u64;
-        let outcome = self
-            .seg_mut(id)
-            .remap_adjust(k, m_total, cap_buckets, params);
-        if outcome == RemapOutcome::Failed {
-            return false;
-        }
-        self.stats.ops.remaps += 1;
-        self.stats.ops.keys_moved += n;
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.stats.times.remap_ns += dt;
-        obs::counter!("dytis.remap").inc();
-        obs::histogram!("dytis.remap_ns").record(dt);
-        #[cfg(debug_assertions)]
-        self.debug_audit_segment(id, params);
-        true
-    }
-
-    fn try_expand(&mut self, id: SegId, cap_buckets: usize, params: &Params) -> bool {
-        let m_total = self.m_total;
-        let t0 = Instant::now();
-        let n = self.seg(id).num_keys as u64;
-        if !self.seg_mut(id).expand(m_total, cap_buckets, params) {
-            return false;
-        }
-        self.stats.ops.expansions += 1;
-        self.stats.ops.keys_moved += n;
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.stats.times.expansion_ns += dt;
-        obs::counter!("dytis.expand").inc();
-        obs::histogram!("dytis.expand_ns").record(dt);
-        #[cfg(debug_assertions)]
-        self.debug_audit_segment(id, params);
-        true
+        self.active_limit_mult = adaptive_limit_mult(s.splits, s.expansions, s.remaps, params);
     }
 
     /// Splits segment `id` into two (requires `LD < GD`). `hint_idx` is any

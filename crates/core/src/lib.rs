@@ -16,11 +16,11 @@
 //! functions are adjusted locally, one segment at a time, as keys arrive
 //! (split / remapping / expansion / directory doubling, Algorithm 1).
 //!
-//! The concurrent index (§3.4) is [`concurrent::Concurrent`]: one latch
-//! protocol with the lock granularity as a policy. [`ConcurrentDyTis`] is
-//! the paper's scheme, segment locks (`concurrent/segment_locks.rs`);
-//! [`ConcurrentDyTisFine`] is the bucket-lock variant the paper rejected
-//! (`concurrent/bucket_locks.rs`), kept for the ablation.
+//! The concurrent index (§3.4) is [`ConcurrentDyTis`] (`concurrent.rs`):
+//! one latch protocol, a per-table directory lock over per-segment
+//! reader/writer locks, with optimistic lock-free reads on top. It and
+//! [`DyTis`] share one Algorithm 1 ([`segment::Segment::repair_in_place`])
+//! and one §3.3 segment-size rule ([`segment::adaptive_limit_mult`]).
 //!
 //! # Examples
 //!
@@ -54,7 +54,7 @@ pub mod simd;
 pub mod stats;
 pub mod sync;
 
-pub use concurrent::{ConcurrentDyTis, ConcurrentDyTisFine, ReadStats};
+pub use concurrent::{ConcurrentDyTis, ReadStats};
 pub use cursor::{CursorInvalidated, ScanCursor};
 pub use params::Params;
 pub use stats::{DytisStats, OpTimes};

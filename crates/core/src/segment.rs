@@ -24,6 +24,19 @@ pub enum RemapOutcome {
     Failed,
 }
 
+/// Outcome of [`Segment::repair_in_place`], Algorithm 1's decision for a
+/// full bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Repair {
+    /// The remapping function was adjusted ([`Segment::remap_adjust`]).
+    Remapped,
+    /// The segment doubled ([`Segment::expand`]).
+    Expanded,
+    /// No in-place fix applies; the segment is untouched and must be split
+    /// (after a directory doubling when `LD == GD`).
+    NeedsSplit,
+}
+
 /// Outcome of [`Segment::upsert_in_bucket`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BucketUpsert {
@@ -464,6 +477,36 @@ impl Segment {
         true
     }
 
+    /// Algorithm 1's in-place step for a segment whose bucket for
+    /// within-segment key `k` is full: the one place that chooses between
+    /// remapping, expansion and split. Below `L_start` the table is plain
+    /// Extendible hashing (always split); from there on the utilization
+    /// threshold `U_t` arbitrates — a well-utilized segment expands if it
+    /// owns its whole directory range (`LD == GD`) and otherwise splits, a
+    /// poorly utilized one remaps. An expansion or remapping that would
+    /// exceed `max_buckets` (`Limit_seg(LD)`) falls back to a split.
+    pub fn repair_in_place(
+        &mut self,
+        k: u64,
+        global_depth: u32,
+        m_total: u32,
+        max_buckets: usize,
+        params: &Params,
+    ) -> Repair {
+        let ld = self.local_depth;
+        if ld < params.l_start {
+            return Repair::NeedsSplit;
+        }
+        if self.utilization(params) > params.utilization_threshold {
+            if ld == global_depth && self.expand(m_total, max_buckets, params) {
+                return Repair::Expanded;
+            }
+        } else if self.remap_adjust(k, m_total, max_buckets, params) != RemapOutcome::Failed {
+            return Repair::Remapped;
+        }
+        Repair::NeedsSplit
+    }
+
     /// Splits the segment into two halves of its key range (§3.3). Each new
     /// segment gets twice the buckets its half's keys need, keeping the
     /// sub-range slopes of that half.
@@ -555,6 +598,20 @@ impl Segment {
     }
 }
 
+/// The §3.3 adaptive segment-size rule ("Selecting a segment size"): the
+/// limit multiplier a table adopts once it has gathered maintenance
+/// history — `limit_mult_raised` when expansions make up at least
+/// `expansion_heavy_fraction` of the splits, expansions and remaps so far
+/// (a uniform-ish dataset), the default `limit_mult` otherwise.
+pub fn adaptive_limit_mult(splits: u64, expansions: u64, remaps: u64, params: &Params) -> u32 {
+    let total = splits + expansions + remaps;
+    if total > 0 && expansions as f64 / total as f64 >= params.expansion_heavy_fraction {
+        params.limit_mult_raised
+    } else {
+        params.limit_mult
+    }
+}
+
 /// Appends a sorted run into `bucket`, or reports the overflowing key group
 /// (`Err((k_first, k_last))`, within-segment keys) when it would exceed
 /// `cap`. The group is the bucket's existing first key (or the run's, if the
@@ -616,6 +673,16 @@ mod tests {
             bucket_entries: 4,
             ..Params::default()
         }
+    }
+
+    #[test]
+    fn adaptive_limit_needs_an_expansion_share() {
+        let p = Params::default();
+        assert_eq!(adaptive_limit_mult(0, 0, 0, &p), p.limit_mult);
+        assert_eq!(adaptive_limit_mult(3, 2, 0, &p), p.limit_mult);
+        // Exactly at `expansion_heavy_fraction` (0.5) counts as heavy.
+        assert_eq!(adaptive_limit_mult(1, 2, 1, &p), p.limit_mult_raised);
+        assert_eq!(adaptive_limit_mult(0, 5, 0, &p), p.limit_mult_raised);
     }
 
     /// Builds a segment at `ld` containing `keys` (within-segment keys used

@@ -10,14 +10,12 @@
 //! |---|---|
 //! | `insert_vs_split` | concurrent insert while another insert splits the segment and doubles the directory |
 //! | `get_vs_directory_doubling` | read-path (dir read → segment read) racing structural surgery under the dir write lock |
-//! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`), at both lock granularities |
+//! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`) |
 //! | `counter_dispatch_maintenance_race` | the PR 4 counter fast path: both threads see a full bucket, one repairs, the other must re-check (`bucket_len`) and retry, losing nothing |
-//! | `fine_variant_concurrent_inserts` | bucket-granularity variant: segment read + per-bucket mutex inserts racing maintenance |
 //! | `seeded_torn_counter_is_caught` | non-vacuity: a deliberately broken insert (torn counter update outside the lock) must produce a counterexample |
 //! | `optimistic_get_vs_split` | lock-free read (snapshot → version → `try_read` → revalidate) racing segment split + directory doubling |
 //! | `optimistic_get_vs_doubling` | both stable keys read optimistically while the directory doubles under the writer |
-//! | `optimistic_get_vs_remap` | optimistic read racing a `remap_adjust` inside the slot's version-bump window — in place under segment locks, copy-out / swap-in under bucket locks |
-//! | `fine_optimistic_get_vs_split` | same race on the bucket-locked variant's slot-versioned read path |
+//! | `optimistic_get_vs_remap` | optimistic read racing an in-place `remap_adjust` inside the slot's version-bump window |
 //! | `epoch_defers_frees_while_pinned` | garbage retired after a reader pins is never freed while the pin is held |
 //! | `seeded_use_after_retire_is_caught` | non-vacuity: `collect_ignoring_pins` (a deliberately broken collector) frees under a live pin and the model catches it |
 //!
@@ -27,7 +25,6 @@
 //! forces a pure remap.
 #![cfg(loom)]
 
-use dytis::concurrent::{BucketLocks, Concurrent, Granularity, SegmentLocks};
 use dytis::{ConcurrentDyTis, Params};
 use index_traits::{Auditable, ConcurrentKvIndex};
 use loom::sync::Arc;
@@ -51,8 +48,8 @@ fn key(i: u64) -> u64 {
     i << 40
 }
 
-fn prefilled<G: Granularity>(n: u64) -> Arc<Concurrent<G>> {
-    let idx = Arc::new(Concurrent::with_params(tiny()));
+fn prefilled(n: u64) -> Arc<ConcurrentDyTis> {
+    let idx = Arc::new(ConcurrentDyTis::with_params(tiny()));
     for i in 0..n {
         idx.insert(key(i), i);
     }
@@ -79,7 +76,7 @@ fn model(name: &str, f: impl Fn() + Send + Sync + 'static) {
 #[test]
 fn insert_vs_split() {
     model("insert_vs_split", || {
-        let idx = prefilled::<SegmentLocks>(2);
+        let idx = prefilled(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -105,7 +102,7 @@ fn insert_vs_split() {
 #[test]
 fn get_vs_directory_doubling() {
     model("get_vs_directory_doubling", || {
-        let idx = prefilled::<SegmentLocks>(2);
+        let idx = prefilled(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -125,13 +122,8 @@ fn get_vs_directory_doubling() {
 /// Every prefilled key must appear, in order, in every interleaving.
 #[test]
 fn scan_vs_remap() {
-    scan_vs_remap_on::<SegmentLocks>("scan_vs_remap");
-    scan_vs_remap_on::<BucketLocks>("scan_vs_remap (bucket locks)");
-}
-
-fn scan_vs_remap_on<G: Granularity>(name: &str) {
-    model(name, || {
-        let idx = prefilled::<G>(6);
+    model("scan_vs_remap", || {
+        let idx = prefilled(6);
         let remaps_before = idx.maintenance_stats().remaps;
         let t = {
             let idx = Arc::clone(&idx);
@@ -161,7 +153,7 @@ fn scan_vs_remap_on<G: Granularity>(name: &str) {
 #[test]
 fn counter_dispatch_maintenance_race() {
     model("counter_dispatch_maintenance_race", || {
-        let idx = prefilled::<SegmentLocks>(2);
+        let idx = prefilled(2);
         // Both keys land in the region of the (full) initial bucket.
         let t = {
             let idx = Arc::clone(&idx);
@@ -178,33 +170,6 @@ fn counter_dispatch_maintenance_race() {
     });
 }
 
-/// Bucket-granularity variant (`ConcurrentDyTisFine`): inserts take the
-/// segment lock in *read* mode plus one bucket mutex, and maintenance
-/// swaps a rebuilt segment in under the directory write lock. Two racing
-/// overflowing inserts must both land.
-#[test]
-fn fine_variant_concurrent_inserts() {
-    model("fine_variant_concurrent_inserts", || {
-        let idx = prefilled::<BucketLocks>(2);
-        let t = {
-            let idx = Arc::clone(&idx);
-            loom::thread::spawn(move || idx.insert(key(2), 2))
-        };
-        idx.insert(key(3), 3);
-        t.join().expect("writer");
-        assert_eq!(idx.len(), 4);
-        for i in 0..4 {
-            assert_eq!(idx.get(key(i)), Some(i), "key {i} lost");
-        }
-        idx.audit().assert_clean();
-    });
-}
-
-/// Non-vacuity: the deliberately broken insert (torn counter update after
-/// the segment lock is dropped — see `insert_seeded_torn_counter`) must
-/// yield a schedule where one increment is lost. If this test fails, the
-/// model checker is not exploring the interleavings the other models rely
-/// on.
 /// Optimistic read racing split + directory doubling: the reader goes
 /// snapshot → version precheck → `try_read` → probe → revalidate, possibly
 /// landing on a retired pre-split segment or losing `try_read` to the
@@ -214,7 +179,7 @@ fn fine_variant_concurrent_inserts() {
 #[test]
 fn optimistic_get_vs_split() {
     model("optimistic_get_vs_split", || {
-        let idx = prefilled::<SegmentLocks>(2);
+        let idx = prefilled(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -236,7 +201,7 @@ fn optimistic_get_vs_split() {
 #[test]
 fn optimistic_get_vs_doubling() {
     model("optimistic_get_vs_doubling", || {
-        let idx = prefilled::<SegmentLocks>(2);
+        let idx = prefilled(2);
         let t = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || idx.insert(key(2), 2))
@@ -256,13 +221,8 @@ fn optimistic_get_vs_doubling() {
 /// or post-probe version mismatch).
 #[test]
 fn optimistic_get_vs_remap() {
-    optimistic_get_vs_remap_on::<SegmentLocks>("optimistic_get_vs_remap");
-    optimistic_get_vs_remap_on::<BucketLocks>("optimistic_get_vs_remap (bucket locks)");
-}
-
-fn optimistic_get_vs_remap_on<G: Granularity>(name: &str) {
-    model(name, || {
-        let idx = prefilled::<G>(6);
+    model("optimistic_get_vs_remap", || {
+        let idx = prefilled(6);
         let remaps_before = idx.maintenance_stats().remaps;
         let t = {
             let idx = Arc::clone(&idx);
@@ -276,23 +236,6 @@ fn optimistic_get_vs_remap_on<G: Granularity>(name: &str) {
             "remap never exercised"
         );
         assert_eq!(idx.len(), 7);
-        idx.audit().assert_clean();
-    });
-}
-
-/// The bucket-locked variant's optimistic read (slot version + segment
-/// `try_read` + bucket mutex) racing split + doubling.
-#[test]
-fn fine_optimistic_get_vs_split() {
-    model("fine_optimistic_get_vs_split", || {
-        let idx = prefilled::<BucketLocks>(2);
-        let t = {
-            let idx = Arc::clone(&idx);
-            loom::thread::spawn(move || idx.insert(key(2), 2))
-        };
-        assert_eq!(idx.get(key(0)), Some(0), "reader lost a stable key");
-        t.join().expect("writer");
-        assert_eq!(idx.len(), 3);
         idx.audit().assert_clean();
     });
 }
@@ -382,6 +325,11 @@ fn seeded_use_after_retire_is_caught() {
     );
 }
 
+/// Non-vacuity: the deliberately broken insert (torn counter update after
+/// the segment lock is dropped — see `insert_seeded_torn_counter`) must
+/// yield a schedule where one increment is lost. If this test fails, the
+/// model checker is not exploring the interleavings the other models rely
+/// on.
 #[test]
 fn seeded_torn_counter_is_caught() {
     let result = catch_unwind(AssertUnwindSafe(|| {

@@ -6,7 +6,7 @@
 
 use dytis_repro::alex_index::Alex;
 use dytis_repro::dytis::persist::{load_from, save_to};
-use dytis_repro::dytis::{ConcurrentDyTis, ConcurrentDyTisFine, DyTis, Params};
+use dytis_repro::dytis::{ConcurrentDyTis, DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{Auditable, ConcurrentKvIndex, KvIndex};
 use dytis_repro::lipp::Lipp;
@@ -131,11 +131,6 @@ fn audit_clean_8_thread_concurrent_dytis() {
     // Params::small() keeps segments tiny so the workload forces many
     // splits and several directory doublings.
     concurrent_stress(Arc::new(ConcurrentDyTis::with_params(Params::small())));
-}
-
-#[test]
-fn audit_clean_8_thread_concurrent_dytis_fine() {
-    concurrent_stress(Arc::new(ConcurrentDyTisFine::with_params(Params::small())));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! scan consistency under churn.
 
 use dytis_repro::datasets::{Dataset, DatasetSpec};
-use dytis_repro::dytis::{ConcurrentDyTis, ConcurrentDyTisFine, Params};
+use dytis_repro::dytis::{ConcurrentDyTis, Params};
 use dytis_repro::index_traits::ConcurrentKvIndex;
 use dytis_repro::xindex::ConcurrentXIndex;
 use std::sync::Arc;
@@ -64,16 +64,6 @@ fn concurrent_dytis_review_8_threads() {
     let keys = Arc::new(DatasetSpec::new(Dataset::ReviewL, N).generate());
     stress(
         Arc::new(ConcurrentDyTis::with_params(Params::small())),
-        keys,
-        8,
-    );
-}
-
-#[test]
-fn concurrent_dytis_fine_review_8_threads() {
-    let keys = Arc::new(DatasetSpec::new(Dataset::ReviewL, N).generate());
-    stress(
-        Arc::new(ConcurrentDyTisFine::with_params(Params::small())),
         keys,
         8,
     );

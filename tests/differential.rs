@@ -15,8 +15,7 @@
 //! divergence.
 
 use dytis_repro::alex_index::Alex;
-use dytis_repro::dytis::concurrent::{BucketLocks, Concurrent, Granularity, SegmentLocks};
-use dytis_repro::dytis::{DyTis, Params};
+use dytis_repro::dytis::{ConcurrentDyTis, DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{Auditable, Key, KvIndex, Value};
 use dytis_repro::kvstore::{DurabilityOptions, DurableShardedStore};
@@ -432,7 +431,6 @@ fn differential_dytis_bulk_load() {
 /// snapshots through the epoch collector (`epoch_stats().deferred`).
 #[test]
 fn differential_concurrent_read_hammer() {
-    use dytis_repro::dytis::ConcurrentDyTis;
     use dytis_repro::index_traits::ConcurrentKvIndex;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -547,21 +545,20 @@ fn differential_concurrent_read_hammer() {
     );
 }
 
-/// The optimistic hit path must acquire no lock at all, at either
-/// granularity (for the bucket-locked variant that includes the bucket
-/// mutexes: reads are served from the per-bucket seqlocks): across a
+/// The optimistic hit path must acquire no lock at all: across a
 /// `get`/`scan` storm against a quiescent index, `read_stats().locked` —
 /// which counts every read executed on the locked path — stays flat.  The
 /// differential half checks the answers against a `BTreeMap` oracle;
 /// the non-vacuity half flips `set_locked_reads(true)` and proves the
 /// same counter does move when the locked path actually runs.
-fn optimistic_reads_take_no_lock<G: Granularity>() {
+#[test]
+fn differential_coarse_optimistic_reads_take_no_lock() {
     use dytis_repro::index_traits::ConcurrentKvIndex;
 
     const KEYS: u64 = 6_000;
     const SCAN_LEN: usize = 48;
 
-    let idx = Concurrent::<G>::with_params(Params::small());
+    let idx = ConcurrentDyTis::with_params(Params::small());
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     for i in 0..KEYS {
         let k = scramble(i);
@@ -615,16 +612,6 @@ fn optimistic_reads_take_no_lock<G: Granularity>() {
     idx.set_locked_reads(false);
     assert_eq!(idx.read_stats().locked, forced.locked);
     idx.audit().assert_clean();
-}
-
-#[test]
-fn differential_fine_optimistic_reads_take_no_lock() {
-    optimistic_reads_take_no_lock::<BucketLocks>();
-}
-
-#[test]
-fn differential_coarse_optimistic_reads_take_no_lock() {
-    optimistic_reads_take_no_lock::<SegmentLocks>();
 }
 
 /// A deliberately buggy index: silently drops every Nth insert. Used to

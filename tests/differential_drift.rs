@@ -162,15 +162,15 @@ fn drift_cceh() {
     battery(Cceh::new, false);
 }
 
-/// Drift read-hammer on the bucket-locked variant: the writer replays the
-/// MM→TX drift stream (keys forced even) through `ConcurrentDyTisFine`, so
-/// maintenance fires under a *shifting* distribution, while reader threads
-/// hammer a stable odd-key population through the optimistic read path and
-/// compare every lookup against the oracle. Same non-vacuity bar as
-/// `tests/differential.rs`: retries and deferred frees must be observed.
+/// Drift read-hammer: the writer replays the MM→TX drift stream (keys
+/// forced even) through `ConcurrentDyTis`, so maintenance fires under a
+/// *shifting* distribution, while reader threads hammer a stable odd-key
+/// population through the optimistic read path and compare every lookup
+/// against the oracle. Same non-vacuity bar as `tests/differential.rs`:
+/// retries and deferred frees must be observed.
 #[test]
-fn drift_concurrent_read_hammer_fine_variant() {
-    use dytis_repro::dytis::ConcurrentDyTisFine;
+fn drift_concurrent_read_hammer() {
+    use dytis_repro::dytis::ConcurrentDyTis;
     use dytis_repro::index_traits::ConcurrentKvIndex;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -185,7 +185,7 @@ fn drift_concurrent_read_hammer_fine_variant() {
     let compiled = Arc::new(compile(&builtin::mm_to_tx_drift(SCALE)));
     let mut total_retries = 0u64;
     for _round in 0..5 {
-        let idx = Arc::new(ConcurrentDyTisFine::with_params(Params::small()));
+        let idx = Arc::new(ConcurrentDyTis::with_params(Params::small()));
         let mut stable: BTreeMap<Key, Value> = BTreeMap::new();
         for i in 0..STABLE {
             let k = scramble(i) | 1;

@@ -6,7 +6,7 @@
 //! Run with `cargo test --features metrics --test obs_concurrency`.
 #![cfg(feature = "metrics")]
 
-use dytis_repro::dytis::{ConcurrentDyTis, ConcurrentDyTisFine, Params};
+use dytis_repro::dytis::{ConcurrentDyTis, Params};
 use dytis_repro::index_traits::ConcurrentKvIndex;
 use dytis_repro::obs;
 use std::sync::Arc;
@@ -101,31 +101,36 @@ fn histogram_totals_match_op_counts_under_8_thread_churn() {
     assert_eq!(idx.len(), (total / 2) as usize);
 }
 
-/// Both lock granularities share the shell's call sites, and `counter!`
-/// caches its handle per call site, so the shell's names are literals: a
-/// run that only ever builds the bucket-locked variant must credit its
-/// splits to `cdytis.split` and register nothing under `cdytis_fine.`.
+/// The concurrent index's always-on maintenance counters and its `cdytis.*`
+/// obs counters are bumped side by side: over one single-threaded stream
+/// the registry deltas must equal `maintenance_stats()` exactly.
 #[test]
-fn bucket_locked_variant_reports_under_the_cdytis_names() {
+fn cdytis_counters_match_maintenance_stats() {
     let _serial = REGISTRY.lock().expect("a registry test panicked");
-    let splits = || counter(&obs::snapshot(), "cdytis.split").unwrap_or(0);
-    let before = splits();
-    let idx = ConcurrentDyTisFine::with_params(Params::small());
+    let read = || {
+        let snap = obs::snapshot();
+        [
+            "cdytis.split",
+            "cdytis.expand",
+            "cdytis.remap",
+            "cdytis.double",
+        ]
+        .map(|name| counter(&snap, name).unwrap_or(0))
+    };
+    let before = read();
+    let idx = ConcurrentDyTis::with_params(Params::small());
     for i in 0..5_000u64 {
         idx.insert(key(i), i);
+        idx.insert(i << 20, i);
     }
-    let own = idx.maintenance_stats().splits;
-    assert!(own > 0, "stream never split");
-    assert_eq!(splits() - before, own, "cdytis.split missed fine splits");
-    let snap = obs::snapshot();
-    let stale: Vec<_> = snap
-        .counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("cdytis_fine."))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "retired counter names registered: {stale:?}"
+    let own = idx.maintenance_stats();
+    assert!(own.splits > 0 && own.expansions > 0 && own.remaps > 0);
+    let after = read();
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(
+        delta,
+        [own.splits, own.expansions, own.remaps, own.doublings],
+        "cdytis.* counters drifted from maintenance_stats()"
     );
 }
 

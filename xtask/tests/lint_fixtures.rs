@@ -195,7 +195,6 @@ fn workspace_is_clean_under_widened_scan() {
         "tests/concurrent.rs",
         "examples/quickstart.rs",
         "crates/core/src/concurrent.rs",
-        "crates/core/src/concurrent/bucket_locks.rs",
         "crates/core/tests/loom_models.rs",
         "crates/bench/src/lib.rs",
     ] {
