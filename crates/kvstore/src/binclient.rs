@@ -39,7 +39,18 @@ fn check_op(header: FrameHeader, words: &[u64], resp_op: u8) -> Result<()> {
     )))
 }
 
-/// A blocking client for the binary frame protocol.
+/// A blocking client for the `DYF1` frame protocol.
+///
+/// ```
+/// use kvstore::{BinClient, TpcServer};
+///
+/// let server = TpcServer::start("127.0.0.1:0").unwrap();
+/// let mut client = BinClient::connect(server.addr()).unwrap();
+/// assert_eq!(client.set_batch(&[(1, 10), (2, 20)]).unwrap(), 2);
+/// assert_eq!(client.get_batch(&[2, 3]).unwrap(), vec![Some(20), None]);
+/// client.quit().unwrap();
+/// assert!(server.shutdown().drained);
+/// ```
 pub struct BinClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -56,16 +67,15 @@ const KEY_CHUNK: usize = frame::MAX_KEYS_PER_FRAME as usize;
 /// ~1 MiB of unsent responses queue up (its write-side high water), so a
 /// client that writes an unbounded pipeline without draining replies
 /// deadlocks against its own responses. Two frames (~512 KiB of replies)
-/// keep the pipe full while staying safely under that limit — the same
-/// rationale as the text client's 1024-op chunks.
+/// keep the pipe full while staying safely under that limit.
 const KEYED_WINDOW: usize = 2;
 /// Most unanswered SET frames in flight per connection; acks are 18
 /// bytes, so this bounds unread replies to ~18 KiB.
 const SET_WINDOW: usize = 1024;
 
 impl BinClient {
-    /// Connects and sends the 4-byte session preamble that switches the
-    /// server into binary mode.
+    /// Connects and queues the 4-byte session preamble, which goes out
+    /// with the first request.
     ///
     /// # Errors
     ///
@@ -152,11 +162,20 @@ impl BinClient {
     /// Returns I/O or protocol errors.
     pub fn set_batch(&mut self, pairs: &[(u64, u64)]) -> Result<u64> {
         let mut applied = 0u64;
+        let inflight = self.send_sets(pairs, &mut applied)?;
+        self.collect_sets(inflight, &mut applied)?;
+        Ok(applied)
+    }
+
+    /// The write half of a bulk set: sends `pairs` as SET frames, reading
+    /// an ack into `applied` whenever [`SET_WINDOW`] frames are
+    /// unanswered, and flushes. Returns how many acks are still to come.
+    fn send_sets(&mut self, pairs: &[(u64, u64)], applied: &mut u64) -> Result<usize> {
         let mut inflight = 0usize;
         for chunk in pairs.chunks(SET_CHUNK) {
             if inflight == SET_WINDOW {
                 self.writer.flush()?;
-                applied += self.read_set_ack()?;
+                *applied += self.read_set_ack()?;
                 inflight -= 1;
             }
             let mut words = Vec::with_capacity(chunk.len() * 2);
@@ -168,10 +187,15 @@ impl BinClient {
             inflight += 1;
         }
         self.writer.flush()?;
+        Ok(inflight)
+    }
+
+    /// The read half of a bulk set: the `inflight` acks `send_sets` left.
+    fn collect_sets(&mut self, inflight: usize, applied: &mut u64) -> Result<()> {
         for _ in 0..inflight {
-            applied += self.read_set_ack()?;
+            *applied += self.read_set_ack()?;
         }
-        Ok(applied)
+        Ok(())
     }
 
     /// Point lookup.
@@ -215,28 +239,55 @@ impl BinClient {
     /// flight so the reply volume never deadlocks the connection.
     fn keyed_batch(&mut self, keys: &[u64], op: u8, resp_op: u8) -> Result<Vec<Option<u64>>> {
         let mut out = Vec::with_capacity(keys.len());
+        let inflight = self.send_keyed(keys, op, resp_op, &mut out)?;
+        self.collect_keyed(inflight, resp_op, keys.len(), &mut out)?;
+        Ok(out)
+    }
+
+    /// The write half of a GET/DEL batch: sends `keys` as request frames,
+    /// reading a reply into `out` whenever [`KEYED_WINDOW`] frames are
+    /// unanswered, and flushes. Returns how many replies are still to come.
+    fn send_keyed(
+        &mut self,
+        keys: &[u64],
+        op: u8,
+        resp_op: u8,
+        out: &mut Vec<Option<u64>>,
+    ) -> Result<usize> {
         let mut inflight = 0usize;
         for chunk in keys.chunks(KEY_CHUNK) {
             if inflight == KEYED_WINDOW {
                 self.writer.flush()?;
-                self.read_keyed_reply(resp_op, &mut out)?;
+                self.read_keyed_reply(resp_op, out)?;
                 inflight -= 1;
             }
             frame::write_frame(&mut self.writer, op, chunk)?;
             inflight += 1;
         }
         self.writer.flush()?;
+        Ok(inflight)
+    }
+
+    /// The read half of a GET/DEL batch: the `inflight` replies
+    /// `send_keyed` left, after which `out` must hold one result for each
+    /// of the `keys` keys sent.
+    fn collect_keyed(
+        &mut self,
+        inflight: usize,
+        resp_op: u8,
+        keys: usize,
+        out: &mut Vec<Option<u64>>,
+    ) -> Result<()> {
         for _ in 0..inflight {
-            self.read_keyed_reply(resp_op, &mut out)?;
+            self.read_keyed_reply(resp_op, out)?;
         }
-        if out.len() != keys.len() {
+        if out.len() != keys {
             return Err(protocol_err(format!(
-                "{} results for {} keys",
-                out.len(),
-                keys.len()
+                "{} results for {keys} keys",
+                out.len()
             )));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Ordered scan from `start`, up to `count` pairs.
@@ -383,30 +434,13 @@ impl RoutedClient {
         // Write everything first so every worker crunches in parallel,
         // draining acks whenever a connection's window fills …
         let mut applied = 0u64;
-        let mut inflight: Vec<usize> = vec![0; self.conns.len()];
-        for (w, part) in parts.iter().enumerate() {
-            let conn = &mut self.conns[w];
-            for chunk in part.chunks(SET_CHUNK) {
-                if inflight[w] == SET_WINDOW {
-                    conn.writer.flush()?;
-                    applied += conn.read_set_ack()?;
-                    inflight[w] -= 1;
-                }
-                let mut words = Vec::with_capacity(chunk.len() * 2);
-                for &(k, v) in chunk {
-                    words.push(k);
-                    words.push(v);
-                }
-                frame::write_frame(&mut conn.writer, frame::OP_SET, &words)?;
-                inflight[w] += 1;
-            }
-            conn.writer.flush()?;
+        let mut inflight = Vec::with_capacity(parts.len());
+        for (conn, part) in self.conns.iter_mut().zip(&parts) {
+            inflight.push(conn.send_sets(part, &mut applied)?);
         }
         // … then collect the remaining acks.
-        for (w, n) in inflight.into_iter().enumerate() {
-            for _ in 0..n {
-                applied += self.conns[w].read_set_ack()?;
-            }
+        for (conn, n) in self.conns.iter_mut().zip(inflight) {
+            conn.collect_sets(n, &mut applied)?;
         }
         Ok(applied)
     }
@@ -435,43 +469,24 @@ impl RoutedClient {
             part_keys[s].push(k);
             part_idx[s].push(i);
         }
-        // At most KEYED_WINDOW unanswered frames per connection: replies
-        // are 16 bytes per key, and an unbounded pipeline would deadlock
-        // against the server's write-side high water (see BinClient).
+        // Same two halves as a bulk set; `BinClient` holds each connection
+        // to KEYED_WINDOW unanswered frames while it writes.
         let mut got: Vec<Vec<Option<u64>>> = part_keys
             .iter()
             .map(|p| Vec::with_capacity(p.len()))
             .collect();
-        let mut inflight: Vec<usize> = vec![0; workers];
-        for (w, part) in part_keys.iter().enumerate() {
-            let conn = &mut self.conns[w];
-            for chunk in part.chunks(KEY_CHUNK) {
-                if inflight[w] == KEYED_WINDOW {
-                    conn.writer.flush()?;
-                    conn.read_keyed_reply(frame::RESP_GET, &mut got[w])?;
-                    inflight[w] -= 1;
-                }
-                frame::write_frame(&mut conn.writer, frame::OP_GET, chunk)?;
-                inflight[w] += 1;
-            }
-            conn.writer.flush()?;
+        let mut inflight = Vec::with_capacity(workers);
+        for ((conn, part), out) in self.conns.iter_mut().zip(&part_keys).zip(&mut got) {
+            inflight.push(conn.send_keyed(part, frame::OP_GET, frame::RESP_GET, out)?);
         }
-        for (w, n) in inflight.into_iter().enumerate() {
-            for _ in 0..n {
-                self.conns[w].read_keyed_reply(frame::RESP_GET, &mut got[w])?;
-            }
+        for (w, conn) in self.conns.iter_mut().enumerate() {
+            let sent = part_keys[w].len();
+            conn.collect_keyed(inflight[w], frame::RESP_GET, sent, &mut got[w])?;
         }
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        for w in 0..workers {
-            if got[w].len() != part_keys[w].len() {
-                return Err(protocol_err(format!(
-                    "worker {w}: {} results for {} keys",
-                    got[w].len(),
-                    part_keys[w].len()
-                )));
-            }
-            for (slot, v) in part_idx[w].iter().zip(got[w].drain(..)) {
-                out[*slot] = v;
+        for (idx, vals) in part_idx.iter().zip(got) {
+            for (&slot, v) in idx.iter().zip(vals) {
+                out[slot] = v;
             }
         }
         Ok(out)

@@ -1,12 +1,14 @@
-//! `DYF1` — the length-prefixed binary frame of the KV service.
+//! `DYF1` — the length-prefixed binary frame, the KV service's one wire
+//! protocol.
 //!
-//! The text protocol costs one round trip per op unless the client
-//! hand-rolls pipelining; the binary frame makes batching the wire's
-//! native shape. A session is negotiated by its **first byte**: `0xDF`
-//! (never a valid text command byte — the text protocol is ASCII) selects
-//! binary mode, anything else falls through to the line protocol. The
-//! client then completes the 4-byte preamble `[0xDF, b'Y', b'F', b'1']`
-//! and both directions speak frames:
+//! Batching is the wire's native shape: one frame carries up to
+//! [`MAX_FRAME_WORDS`] words of keys and values, so a thousand SETs are one
+//! write and one read. A session opens with the 4-byte preamble
+//! `[0xDF, b'Y', b'F', b'1']` — a magic the server checks, not a
+//! negotiation: a connection whose first bytes are anything else is closed
+//! without a reply. After it both directions speak frames, the server's own
+//! messages ([`ERR_BUSY`] at the connection budget, [`ERR_IDLE`] at the
+//! idle reap) included:
 //!
 //! ```text
 //! [op: u8][reserved: u8 = 0][count: u32 LE][count x u64 LE][crc32: u32 LE]
@@ -16,8 +18,13 @@
 //! is derivable from its fixed 6-byte header: `6 + 8*count + 4`. The CRC32
 //! (IEEE, reflected 0xEDB88320) covers header + payload; a mismatch is a
 //! transport fault, not a request, so the server answers
-//! [`ERR_BAD_FRAME`] and closes — binary streams have no newline to
-//! resync at.
+//! [`ERR_BAD_FRAME`] and closes — a frame stream has no marker to resync
+//! at.
+//!
+//! A request is complete only at its last CRC byte. Bytes after the last
+//! whole frame when the peer closes (or half-closes) are a truncated
+//! request and are dropped, never applied: a client that dies mid-write of
+//! a SET cannot get the pairs it managed to send stored.
 //!
 //! Request ops and their payloads (`k`/`v` are u64 words). GET/DEL key
 //! lists and SCAN limits are additionally capped at
@@ -50,17 +57,16 @@
 
 use std::io::{self, Read, Write};
 
-/// First byte of a binary session; outside ASCII so the text parser can
-/// never be confused for it.
+/// First byte of a session; outside ASCII, so a text client (HTTP,
+/// telnet) that dials the port by mistake is closed at its first byte.
 pub const MAGIC_BYTE: u8 = 0xDF;
 
-/// The full session preamble a binary client sends once after connect.
+/// The full session preamble a client sends once after connect.
 pub const PREAMBLE: [u8; 4] = [MAGIC_BYTE, b'Y', b'F', b'1'];
 
 /// Most payload words a single frame may carry (256 KiB of payload).
 /// Larger counts get [`ERR_TOO_LARGE`] and the connection closes; the cap
-/// bounds per-connection server memory exactly like `max_line_bytes` does
-/// for the text protocol.
+/// is what bounds the server's per-connection input buffer.
 pub const MAX_FRAME_WORDS: u32 = 32_768;
 
 /// Most keys one GET/DEL request frame may carry, and the most rows one
@@ -210,18 +216,26 @@ pub enum Decoded {
     BadCrc,
 }
 
+/// Reads the word count out of a complete header: the frame's total
+/// encoded length, or the count itself when it is over the cap.
+fn announced_len(header: &[u8]) -> Result<usize, u32> {
+    // invariant: callers pass at least HEADER_LEN bytes.
+    let count = u32::from_le_bytes(header[2..HEADER_LEN].try_into().unwrap());
+    if count > MAX_FRAME_WORDS {
+        return Err(count);
+    }
+    Ok(HEADER_LEN + 8 * count as usize + TRAILER_LEN)
+}
+
 /// Attempts to decode one frame from the front of `buf`.
 pub fn try_decode(buf: &[u8]) -> Decoded {
     if buf.len() < HEADER_LEN {
         return Decoded::Incomplete;
     }
-    let op = buf[0];
-    // invariant: length checked above; HEADER_LEN bytes are present.
-    let count = u32::from_le_bytes(buf[2..6].try_into().unwrap());
-    if count > MAX_FRAME_WORDS {
-        return Decoded::TooLarge { count };
-    }
-    let total = HEADER_LEN + 8 * count as usize + TRAILER_LEN;
+    let total = match announced_len(buf) {
+        Ok(total) => total,
+        Err(count) => return Decoded::TooLarge { count },
+    };
     if buf.len() < total {
         return Decoded::Incomplete;
     }
@@ -231,13 +245,16 @@ pub fn try_decode(buf: &[u8]) -> Decoded {
     if crc32(body) != wire_crc {
         return Decoded::BadCrc;
     }
-    let mut words = Vec::with_capacity(count as usize);
-    for chunk in buf[HEADER_LEN..total - TRAILER_LEN].chunks_exact(8) {
+    let words: Vec<u64> = body[HEADER_LEN..]
+        .chunks_exact(8)
         // invariant: chunks_exact(8) yields exactly 8-byte slices.
-        words.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-    }
+        .map(|chunk| u64::from_le_bytes(chunk.try_into().unwrap()))
+        .collect();
     Decoded::Frame {
-        header: FrameHeader { op, count },
+        header: FrameHeader {
+            op: buf[0],
+            count: words.len() as u32,
+        },
         words,
         consumed: total,
     }
@@ -250,37 +267,27 @@ pub fn try_decode(buf: &[u8]) -> Decoded {
 /// I/O errors pass through; a too-large or CRC-damaged frame surfaces as
 /// `InvalidData` because the stream cannot be re-synchronised.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(FrameHeader, Vec<u64>)> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let op = header[0];
-    // invariant: header is exactly HEADER_LEN bytes; the slice is 4 bytes.
-    let count = u32::from_le_bytes(header[2..6].try_into().unwrap());
-    if count > MAX_FRAME_WORDS {
-        return Err(io::Error::new(
+    let mut buf = vec![0u8; HEADER_LEN];
+    r.read_exact(&mut buf)?;
+    // The cap is enforced from the header alone, before the announced
+    // payload is allocated or read.
+    let total = announced_len(&buf).map_err(|count| {
+        io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame announces {count} words (max {MAX_FRAME_WORDS})"),
-        ));
-    }
-    let mut rest = vec![0u8; 8 * count as usize + TRAILER_LEN];
-    r.read_exact(&mut rest)?;
-    let payload = &rest[..rest.len() - TRAILER_LEN];
-    let mut crc_input = Vec::with_capacity(HEADER_LEN + payload.len());
-    crc_input.extend_from_slice(&header);
-    crc_input.extend_from_slice(payload);
-    // invariant: rest holds at least the TRAILER_LEN CRC bytes.
-    let wire_crc = u32::from_le_bytes(rest[rest.len() - TRAILER_LEN..].try_into().unwrap());
-    if crc32(&crc_input) != wire_crc {
-        return Err(io::Error::new(
+        )
+    })?;
+    buf.resize(total, 0);
+    r.read_exact(&mut buf[HEADER_LEN..])?;
+    match try_decode(&buf) {
+        Decoded::Frame { header, words, .. } => Ok((header, words)),
+        // invariant: `buf` is exactly the announced, under-cap length, so
+        // the CRC is the only check left to fail.
+        _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame CRC mismatch",
-        ));
+        )),
     }
-    let mut words = Vec::with_capacity(count as usize);
-    for chunk in payload.chunks_exact(8) {
-        // invariant: payload length is a multiple of 8 by construction.
-        words.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    Ok((FrameHeader { op, count }, words))
 }
 
 /// Writes one frame to `w` (client side).
@@ -382,6 +389,31 @@ mod tests {
         assert_eq!((h1.op, w1.as_slice()), (OP_SCAN, &[10u64, 32][..]));
         let (h2, w2) = read_frame(&mut r).expect("frame 2");
         assert_eq!((h2.op, w2.len()), (OP_LEN, 0));
+    }
+
+    /// `read_frame` refuses what `try_decode` refuses, with the client's
+    /// error kind and message: an over-cap count from the header alone (no
+    /// payload follows it here), and a flipped payload bit by CRC.
+    #[test]
+    fn blocking_read_rejects_over_cap_and_crc_damage() {
+        let mut hostile = vec![RESP_GET, 0];
+        hostile.extend_from_slice(&(MAX_FRAME_WORDS + 1).to_le_bytes());
+        let err = read_frame(&mut std::io::Cursor::new(hostile)).expect_err("over cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "frame announces {} words (max {MAX_FRAME_WORDS})",
+                MAX_FRAME_WORDS + 1
+            )
+        );
+
+        let mut wire = Vec::new();
+        write_frame(&mut wire, RESP_GET, &[1, 7]).expect("write");
+        wire[HEADER_LEN + 3] ^= 0x10;
+        let err = read_frame(&mut std::io::Cursor::new(wire)).expect_err("crc damage");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "frame CRC mismatch");
     }
 
     #[test]

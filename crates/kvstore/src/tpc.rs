@@ -20,11 +20,12 @@
 //! ([`crate::RoutedClient`]) that partitions its batches by
 //! [`shard_of`] never pays the hop.
 //!
-//! Both protocols are served, negotiated by the first byte of the
-//! session: `0xDF` selects the `DYF1` binary frame (`crate::frame`),
-//! anything else the line protocol — under one resource envelope
-//! ([`ServerOptions`]: connection budget with `ERR busy` admission, capped
-//! request lines, idle-timeout reaping, and a graceful deadline drain).
+//! The wire is the `DYF1` binary frame (`crate::frame`) and nothing else:
+//! a session opens with the 4-byte preamble, which the worker checks, and
+//! every message after it — the server's own included (budget rejection,
+//! idle reap) — is a frame. All of it runs under one resource envelope
+//! ([`ServerOptions`]: connection budget with `ERR_BUSY` admission, capped
+//! frames, idle-timeout reaping, and a graceful deadline drain).
 //!
 //! Every op on a key is applied by the one thread that owns the key's
 //! shard, in the order it reaches that thread, and answered only after it
@@ -39,7 +40,6 @@
 #![cfg(unix)]
 
 use crate::frame::{self, Decoded};
-use crate::protocol::{self, format_response, parse_request, Request, Response};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
 use crate::{shard_of, DrainReport, ServerOptions};
 use dytis::DyTis;
@@ -61,8 +61,8 @@ pub struct TpcOptions {
     /// `available_parallelism`.
     pub workers: usize,
     /// The resource envelope: the connection budget and
-    /// `live_connections` gauge are global across workers, timeouts and
-    /// the line cap apply per connection.
+    /// `live_connections` gauge are global across workers, timeouts apply
+    /// per connection.
     pub server: ServerOptions,
 }
 
@@ -120,12 +120,33 @@ enum RemoteOp {
     Len,
 }
 
+/// What one shard answers; the shapes mirror the collecting [`Slot`]s.
 enum RemoteResp {
-    Set,
-    Get(Option<Value>),
-    Del(Option<Value>),
-    Scan(Vec<(Key, Value)>),
-    Len(usize),
+    /// GET: the value; DEL: the value removed.
+    Found(Option<Value>),
+    /// SET: pairs applied (always 1); LEN: keys in the shard.
+    Count(u64),
+    /// SCAN: this shard's rows, in key order.
+    Rows(Vec<(Key, Value)>),
+}
+
+/// Runs one op on a shard. The only place the data plane touches an index:
+/// a worker calls it for the keys it owns and for ops peers forward to it.
+fn apply(index: &mut DyTis, op: RemoteOp) -> RemoteResp {
+    match op {
+        RemoteOp::Set(k, v) => {
+            index.insert(k, v);
+            RemoteResp::Count(1)
+        }
+        RemoteOp::Get(k) => RemoteResp::Found(index.get(k)),
+        RemoteOp::Del(k) => RemoteResp::Found(index.remove(k)),
+        RemoteOp::Scan(start, limit) => {
+            let mut out = Vec::with_capacity(limit.min(1024));
+            index.scan(start, limit, &mut out);
+            RemoteResp::Rows(out)
+        }
+        RemoteOp::Len => RemoteResp::Count(index.len() as u64),
+    }
 }
 
 /// A running thread-per-core server.
@@ -360,46 +381,33 @@ impl Drop for TpcServer {
 // Per-connection state
 // ---------------------------------------------------------------------------
 
-/// Protocol of a connection, fixed by its first byte.
-enum Mode {
-    /// Waiting for the first byte(s).
-    Detect,
-    Text,
-    Binary,
-}
-
-/// An in-order response slot. `Ready` holds serialized bytes; the others
-/// wait on remote completions and serialize when the last one lands.
+/// An in-order response slot. `Ready` holds an encoded frame; the others
+/// collect one answer per part of the request — from this worker's shard
+/// at once, from peers as their completions land — and encode when the
+/// last one is in.
 enum Slot {
     Ready(Vec<u8>),
     /// `Ready` whose flush also closes the connection (BYE, fatal ERR).
     ReadyClose(Vec<u8>),
-    Set {
-        binary: bool,
-        applied: u64,
+    /// GET / DEL: the reply's `found v` words, two per key, filled in by
+    /// key position as shards answer.
+    Keyed {
+        resp_op: u8,
+        words: Vec<u64>,
         awaiting: u32,
     },
-    Get {
-        binary: bool,
-        results: Vec<Option<(bool, Value)>>,
+    /// SET / LEN: a sum over the parts (pairs applied, per-shard lengths).
+    Count {
+        resp_op: u8,
+        total: u64,
         awaiting: u32,
     },
-    Del {
-        binary: bool,
-        results: Vec<Option<(bool, Value)>>,
-        awaiting: u32,
-    },
+    /// A scan chained over shards in key order, one hop in flight.
     Scan {
-        binary: bool,
         acc: Vec<(Key, Value)>,
         start: Key,
         limit: usize,
         next_shard: usize,
-    },
-    Len {
-        binary: bool,
-        total: u64,
-        awaiting: u32,
     },
 }
 
@@ -407,23 +415,61 @@ impl Slot {
     fn is_complete(&self) -> bool {
         match self {
             Slot::Ready(_) | Slot::ReadyClose(_) => true,
-            Slot::Set { awaiting, .. }
-            | Slot::Get { awaiting, .. }
-            | Slot::Del { awaiting, .. }
-            | Slot::Len { awaiting, .. } => *awaiting == 0,
+            Slot::Keyed { awaiting, .. } | Slot::Count { awaiting, .. } => *awaiting == 0,
             // Scan completion is driven by the chaining logic, which
             // replaces the slot with Ready when the chain ends.
             Slot::Scan { .. } => false,
         }
     }
+
+    /// Folds one shard's answer to part `idx` of the request into the
+    /// reply. Returns `false` for an answer of the wrong shape, which is
+    /// dropped.
+    fn absorb(&mut self, idx: u32, resp: RemoteResp) -> bool {
+        match (self, resp) {
+            (
+                Slot::Keyed {
+                    words, awaiting, ..
+                },
+                RemoteResp::Found(v),
+            ) => {
+                if let Some(pair) = words.chunks_exact_mut(2).nth(idx as usize) {
+                    pair[0] = u64::from(v.is_some());
+                    pair[1] = v.unwrap_or(0);
+                }
+                *awaiting -= 1;
+            }
+            (
+                Slot::Count {
+                    total, awaiting, ..
+                },
+                RemoteResp::Count(n),
+            ) => {
+                *total += n;
+                *awaiting -= 1;
+            }
+            (Slot::Scan { acc, .. }, RemoteResp::Rows(rows)) => {
+                // The first hop's rows are the accumulator, not a copy.
+                if acc.is_empty() {
+                    *acc = rows;
+                } else {
+                    acc.extend(rows);
+                }
+            }
+            // A mismatched completion can only come from memory
+            // corruption or a logic bug; drop it rather than panic the
+            // worker.
+            _ => return false,
+        }
+        true
+    }
 }
 
 struct Conn {
     stream: TcpStream,
-    mode: Mode,
+    /// The session preamble has been checked and consumed.
+    greeted: bool,
     inbuf: Vec<u8>,
-    /// Text mode: discarding an oversized line until its newline.
-    skipping: bool,
     outbuf: Vec<u8>,
     out_pos: usize,
     pending: std::collections::VecDeque<Slot>,
@@ -445,9 +491,8 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            mode: Mode::Detect,
+            greeted: false,
             inbuf: Vec::new(),
-            skipping: false,
             outbuf: Vec::new(),
             out_pos: 0,
             pending: std::collections::VecDeque::new(),
@@ -605,10 +650,9 @@ impl Worker {
                 obs::counter!("kv.rejected").inc();
                 let mut s = stream;
                 let _ = s.set_nonblocking(true);
-                // Best effort: 9 bytes fit any fresh socket buffer. The
-                // reply is textual because the session has not negotiated
-                // a protocol yet.
-                let _ = s.write_all(b"ERR busy\n");
+                // Best effort: one 18-byte frame fits any fresh socket
+                // buffer.
+                let _ = frame::write_frame(&mut s, frame::RESP_ERR, &[frame::ERR_BUSY]);
                 let _ = s.shutdown(std::net::Shutdown::Both);
                 continue;
             }
@@ -659,9 +703,9 @@ impl Worker {
                     if let Some(conn) = self.conns.get_mut(&id) {
                         conn.inbuf.extend_from_slice(&tmp[..n]);
                     }
-                    // Parse after every chunk so an endless newline-free
-                    // (or frame-less) stream is discarded as it arrives
-                    // and `inbuf` stays O(line cap), not O(stream).
+                    // Parse after every chunk so an endless frameless
+                    // stream is refused from its first header and `inbuf`
+                    // stays O(frame cap), not O(stream).
                     if !self.parse_all(id, &mut applied) {
                         return false;
                     }
@@ -691,8 +735,8 @@ impl Worker {
         self.flush_conn(id)
     }
 
-    /// Parses every complete request in the connection's input buffer.
-    /// Returns `false` when the connection must close (protocol fault).
+    /// Parses every complete frame in the connection's input buffer.
+    /// Returns `false` when the connection must close without a reply.
     fn parse_all(&mut self, id: u64, applied: &mut usize) -> bool {
         loop {
             let conn = match self.conns.get_mut(&id) {
@@ -702,223 +746,115 @@ impl Worker {
             if conn.closing {
                 return true;
             }
-            match conn.mode {
-                Mode::Detect => {
-                    if conn.inbuf.is_empty() {
-                        return true;
-                    }
-                    if conn.inbuf[0] == frame::MAGIC_BYTE {
-                        if conn.inbuf.len() < frame::PREAMBLE.len() {
-                            return true; // wait for the rest
-                        }
-                        if conn.inbuf[..4] != frame::PREAMBLE {
-                            return false; // garbled preamble: close
-                        }
-                        conn.inbuf.drain(..4);
-                        conn.mode = Mode::Binary;
-                    } else {
-                        conn.mode = Mode::Text;
-                    }
-                }
-                Mode::Text => {
-                    if !self.parse_text_line(id, applied) {
-                        return true; // need more bytes (or conn gone)
-                    }
-                }
-                Mode::Binary => match self.parse_binary_frame(id, applied) {
-                    BinaryParse::More => {}
-                    BinaryParse::NeedBytes => return true,
-                    BinaryParse::Fatal => return true, // error frame queued
-                },
-            }
-        }
-    }
-
-    /// Consumes one text line if complete. Returns `false` when more
-    /// bytes are needed.
-    fn parse_text_line(&mut self, id: u64, applied: &mut usize) -> bool {
-        let opts_cap = self.shared.opts.max_line_bytes;
-        let conn = match self.conns.get_mut(&id) {
-            Some(c) => c,
-            None => return false,
-        };
-        if conn.skipping {
-            match conn.inbuf.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    conn.inbuf.drain(..=i);
-                    conn.skipping = false;
-                }
-                None => {
-                    conn.inbuf.clear();
+            if !conn.greeted {
+                // Session start is a check, not a negotiation: whatever has
+                // arrived must be a prefix of the preamble, so a peer
+                // speaking anything else is closed at its first wrong byte,
+                // unanswered — it would not understand a frame.
+                let n = conn.inbuf.len().min(frame::PREAMBLE.len());
+                if conn.inbuf[..n] != frame::PREAMBLE[..n] {
+                    obs::counter!("kv.malformed").inc();
                     return false;
                 }
-            }
-        }
-        let line_end = conn.inbuf.iter().position(|&b| b == b'\n');
-        let line = match line_end {
-            Some(i) => {
-                if i > opts_cap {
-                    obs::counter!("kv.oversized").inc();
-                    conn.inbuf.drain(..=i);
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
-                    Self::push_slot(conn, seq, Slot::Ready(msg.into_bytes()));
-                    return true;
+                if n < frame::PREAMBLE.len() {
+                    return true; // wait for the rest
                 }
-                let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
-                line
+                conn.inbuf.drain(..n);
+                conn.greeted = true;
             }
-            None => {
-                // No newline yet: enforce the cap on the partial line so a
-                // newline-free stream stays O(cap) in memory.
-                if conn.inbuf.len() > opts_cap {
-                    obs::counter!("kv.oversized").inc();
-                    conn.inbuf.clear();
-                    conn.skipping = true;
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
-                    Self::push_slot(conn, seq, Slot::Ready(msg.into_bytes()));
-                }
-                return false;
-            }
-        };
-        let text = String::from_utf8_lossy(&line);
-        let text = text.trim_matches(|c: char| c == '\r' || c == '\n');
-        if text.trim().is_empty() {
-            return true;
-        }
-        match parse_request(text) {
-            Ok(req) => self.dispatch_text(id, req, applied),
-            Err(e) => {
-                obs::counter!("kv.malformed").inc();
-                let conn = match self.conns.get_mut(&id) {
-                    Some(c) => c,
-                    None => return false,
-                };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let line = format!("{}\n", format_response(&Response::Err(e)));
-                Self::push_slot(conn, seq, Slot::Ready(line.into_bytes()));
-            }
-        }
-        true
-    }
-
-    fn dispatch_text(&mut self, id: u64, req: Request, applied: &mut usize) {
-        *applied += 1;
-        match req {
-            Request::Set(k, v) => self.op_set(id, false, &[(k, v)]),
-            Request::Get(k) => self.op_get(id, false, &[k]),
-            Request::Del(k) => self.op_del(id, false, &[k]),
-            Request::Scan(start, count) => self.op_scan(id, false, start, count),
-            Request::Len => self.op_len(id, false),
-            Request::Quit => {
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    Self::push_slot(conn, seq, Slot::ReadyClose(b"BYE\n".to_vec()));
-                }
-            }
-        }
-    }
-
-    fn parse_binary_frame(&mut self, id: u64, applied: &mut usize) -> BinaryParse {
-        let decoded = {
-            let conn = match self.conns.get_mut(&id) {
-                Some(c) => c,
-                None => return BinaryParse::NeedBytes,
-            };
-            frame::try_decode(&conn.inbuf)
-        };
-        match decoded {
-            Decoded::Incomplete => BinaryParse::NeedBytes,
-            Decoded::TooLarge { .. } => {
-                self.queue_fatal_err(id, frame::ERR_TOO_LARGE);
-                BinaryParse::Fatal
-            }
-            Decoded::BadCrc => {
-                self.queue_fatal_err(id, frame::ERR_BAD_FRAME);
-                BinaryParse::Fatal
-            }
-            Decoded::Frame {
-                header,
-                words,
-                consumed,
-            } => {
-                if let Some(conn) = self.conns.get_mut(&id) {
+            match frame::try_decode(&conn.inbuf) {
+                Decoded::Incomplete => return true,
+                Decoded::TooLarge { .. } => self.queue_fatal_err(id, frame::ERR_TOO_LARGE),
+                Decoded::BadCrc => self.queue_fatal_err(id, frame::ERR_BAD_FRAME),
+                Decoded::Frame {
+                    header,
+                    words,
+                    consumed,
+                } => {
                     conn.inbuf.drain(..consumed);
+                    *applied += 1;
+                    self.dispatch(id, header.op, &words);
                 }
-                *applied += 1;
-                self.dispatch_binary(id, header.op, words);
-                BinaryParse::More
             }
         }
     }
 
-    fn dispatch_binary(&mut self, id: u64, op: u8, words: Vec<u64>) {
+    fn dispatch(&mut self, id: u64, op: u8, words: &[u64]) {
+        let workers = self.shared.workers;
         match op {
             frame::OP_SET => {
                 if !words.len().is_multiple_of(2) {
                     return self.queue_fatal_err(id, frame::ERR_BAD_COUNT);
                 }
-                let pairs: Vec<(Key, Value)> =
-                    words.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-                self.op_set(id, true, &pairs);
+                let slot = Slot::Count {
+                    resp_op: frame::RESP_SET,
+                    total: 0,
+                    awaiting: (words.len() / 2) as u32,
+                };
+                let pairs = words.chunks_exact(2);
+                self.scatter(
+                    id,
+                    slot,
+                    pairs.map(|c| (shard_of(c[0], workers), 0, RemoteOp::Set(c[0], c[1]))),
+                );
             }
-            frame::OP_GET => {
-                if words.len() > frame::MAX_KEYS_PER_FRAME as usize {
-                    return self.queue_err(id, frame::ERR_KEY_COUNT);
-                }
-                self.op_get(id, true, &words);
-            }
-            frame::OP_DEL => {
-                if words.len() > frame::MAX_KEYS_PER_FRAME as usize {
-                    return self.queue_err(id, frame::ERR_KEY_COUNT);
-                }
-                self.op_del(id, true, &words);
-            }
+            frame::OP_GET => self.op_keyed(id, words, RemoteOp::Get, frame::RESP_GET),
+            frame::OP_DEL => self.op_keyed(id, words, RemoteOp::Del, frame::RESP_DEL),
             frame::OP_SCAN => {
                 if words.len() != 2 {
                     return self.queue_fatal_err(id, frame::ERR_BAD_COUNT);
                 }
-                let limit = words[1] as usize;
-                // The response carries 2 words per row, so the binary
-                // limit is the tighter of the protocol cap and what one
-                // response frame can hold.
-                if limit > protocol::MAX_SCAN_COUNT.min(frame::MAX_KEYS_PER_FRAME as usize) {
+                // The response carries 2 words per row, so a scan may ask
+                // for at most what one response frame can hold.
+                if words[1] > u64::from(frame::MAX_KEYS_PER_FRAME) {
                     return self.queue_err(id, frame::ERR_SCAN_LIMIT);
                 }
-                self.op_scan(id, true, words[0], limit);
+                self.op_scan(id, words[0], words[1] as usize);
             }
             frame::OP_LEN => {
                 if !words.is_empty() {
                     return self.queue_fatal_err(id, frame::ERR_BAD_COUNT);
                 }
-                self.op_len(id, true);
+                let slot = Slot::Count {
+                    resp_op: frame::RESP_LEN,
+                    total: 0,
+                    awaiting: workers as u32,
+                };
+                self.scatter(id, slot, (0..workers).map(|s| (s, 0, RemoteOp::Len)));
             }
-            frame::OP_QUIT => {
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_BYE, &[]);
-                    Self::push_slot(conn, seq, Slot::ReadyClose(buf));
-                }
-            }
+            frame::OP_QUIT => self.queue_frame(id, frame::RESP_BYE, &[], true),
             frame::OP_HELLO => {
-                let me = self.id as u64;
-                let n = self.shared.workers as u64;
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_HELLO, &[me, n]);
-                    Self::push_slot(conn, seq, Slot::Ready(buf));
-                }
+                let who = [self.id as u64, workers as u64];
+                self.queue_frame(id, frame::RESP_HELLO, &who, false);
             }
             _ => self.queue_fatal_err(id, frame::ERR_UNKNOWN_OP),
+        }
+    }
+
+    // -- replies the worker already knows ------------------------------
+
+    /// Queues `slot` as the reply to the connection's next request and
+    /// returns the sequence number completions must name to reach it.
+    fn push_slot(conn: &mut Conn, slot: Slot) -> u64 {
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        debug_assert_eq!(seq, conn.head_seq + conn.pending.len() as u64);
+        conn.pending.push_back(slot);
+        seq
+    }
+
+    /// Queues one frame whose content is known now; with `close`, writing
+    /// it out ends the connection.
+    fn queue_frame(&mut self, id: u64, op: u8, words: &[u64], close: bool) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            let mut buf = Vec::new();
+            frame::encode_frame(&mut buf, op, words);
+            let slot = if close {
+                Slot::ReadyClose(buf)
+            } else {
+                Slot::Ready(buf)
+            };
+            Self::push_slot(conn, slot);
         }
     }
 
@@ -926,22 +862,17 @@ impl Worker {
     /// op level but the frame itself was well-formed, so the stream is
     /// still in sync and the 1-response-per-request framing holds.
     fn queue_err(&mut self, id: u64, code: u64) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let mut buf = Vec::new();
-            frame::encode_frame(&mut buf, frame::RESP_ERR, &[code]);
-            Self::push_slot(conn, seq, Slot::Ready(buf));
-        }
+        self.queue_frame(id, frame::RESP_ERR, &[code], false);
     }
 
     fn queue_fatal_err(&mut self, id: u64, code: u64) {
+        if code == frame::ERR_TOO_LARGE {
+            obs::counter!("kv.oversized").inc();
+        } else {
+            obs::counter!("kv.malformed").inc();
+        }
+        self.queue_frame(id, frame::RESP_ERR, &[code], true);
         if let Some(conn) = self.conns.get_mut(&id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let mut buf = Vec::new();
-            frame::encode_frame(&mut buf, frame::RESP_ERR, &[code]);
-            Self::push_slot(conn, seq, Slot::ReadyClose(buf));
             conn.inbuf.clear();
             // Poison the connection immediately: the stream is
             // untrustworthy past this point, so no further bytes may be
@@ -954,12 +885,6 @@ impl Worker {
     }
 
     // -- op execution ---------------------------------------------------
-
-    fn push_slot(conn: &mut Conn, seq: u64, slot: Slot) {
-        debug_assert_eq!(seq, conn.head_seq + conn.pending.len() as u64);
-        let _ = seq;
-        conn.pending.push_back(slot);
-    }
 
     fn forward(&self, target: usize, conn: u64, seq: u64, idx: u32, op: RemoteOp) {
         let msg = Msg::Apply {
@@ -977,215 +902,109 @@ impl Worker {
         }
     }
 
-    fn op_set(&mut self, id: u64, binary: bool, pairs: &[(Key, Value)]) {
-        let workers = self.shared.workers;
-        let me = self.id;
-        let mut applied = 0u64;
-        let mut remote: Vec<(usize, Key, Value)> = Vec::new();
-        for &(k, v) in pairs {
-            let s = shard_of(k, workers);
-            if s == me {
-                self.index.insert(k, v);
-                applied += 1;
+    /// Runs the parts `(shard, idx, op)` of one request: those this worker
+    /// owns are applied now, the rest go to their owners, and `slot` —
+    /// queued in request order, created awaiting every part — collects
+    /// both.
+    fn scatter(
+        &mut self,
+        id: u64,
+        mut slot: Slot,
+        parts: impl Iterator<Item = (usize, u32, RemoteOp)>,
+    ) {
+        let mut remote = Vec::new();
+        for (shard, idx, op) in parts {
+            if shard == self.id {
+                slot.absorb(idx, apply(&mut self.index, op));
             } else {
-                remote.push((s, k, v));
+                remote.push((shard, idx, op));
             }
         }
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_set(binary, applied);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Set {
-                    binary,
-                    applied,
-                    awaiting,
-                },
-            );
-            for (i, (s, k, v)) in remote.into_iter().enumerate() {
-                self.forward(s, id, seq, i as u32, RemoteOp::Set(k, v));
-            }
+        let seq = Self::push_slot(conn, slot);
+        for (shard, idx, op) in remote {
+            self.forward(shard, id, seq, idx, op);
         }
     }
 
-    fn op_get(&mut self, id: u64, binary: bool, keys: &[Key]) {
+    /// GET / DEL: one part per key, answered at the key's position.
+    fn op_keyed(&mut self, id: u64, keys: &[Key], op: fn(Key) -> RemoteOp, resp_op: u8) {
+        if keys.len() > frame::MAX_KEYS_PER_FRAME as usize {
+            return self.queue_err(id, frame::ERR_KEY_COUNT);
+        }
         let workers = self.shared.workers;
-        let me = self.id;
-        let mut results: Vec<Option<(bool, Value)>> = Vec::with_capacity(keys.len());
-        let mut remote: Vec<(usize, usize, Key)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if shard_of(k, workers) == me {
-                match self.index.get(k) {
-                    Some(v) => results.push(Some((true, v))),
-                    None => results.push(Some((false, 0))),
-                }
-            } else {
-                results.push(None);
-                remote.push((shard_of(k, workers), i, k));
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+        let slot = Slot::Keyed {
+            resp_op,
+            words: vec![0; keys.len() * 2],
+            awaiting: keys.len() as u32,
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_get(binary, &results);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Get {
-                    binary,
-                    results,
-                    awaiting,
-                },
-            );
-            for (s, i, k) in remote {
-                self.forward(s, id, seq, i as u32, RemoteOp::Get(k));
-            }
-        }
+        let keys = keys.iter().enumerate();
+        self.scatter(
+            id,
+            slot,
+            keys.map(|(i, &k)| (shard_of(k, workers), i as u32, op(k))),
+        );
     }
 
-    fn op_del(&mut self, id: u64, binary: bool, keys: &[Key]) {
+    fn op_scan(&mut self, id: u64, start: Key, limit: usize) {
         let workers = self.shared.workers;
-        let me = self.id;
-        let mut results: Vec<Option<(bool, Value)>> = Vec::with_capacity(keys.len());
-        let mut remote: Vec<(usize, usize, Key)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if shard_of(k, workers) == me {
-                match self.index.remove(k) {
-                    Some(v) => results.push(Some((true, v))),
-                    None => results.push(Some((false, 0))),
-                }
-            } else {
-                results.push(None);
-                remote.push((shard_of(k, workers), i, k));
-            }
-        }
+        let mut slot = Slot::Scan {
+            acc: Vec::new(),
+            start,
+            limit,
+            next_shard: shard_of(start, workers),
+        };
+        let hop = Self::advance_scan(&mut self.index, self.id, workers, &mut slot);
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_del(binary, &results);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Del {
-                    binary,
-                    results,
-                    awaiting,
-                },
-            );
-            for (s, i, k) in remote {
-                self.forward(s, id, seq, i as u32, RemoteOp::Del(k));
-            }
+        let seq = Self::push_slot(conn, slot);
+        if let Some((target, op)) = hop {
+            self.forward(target, id, seq, 0, op);
         }
     }
 
-    fn op_scan(&mut self, id: u64, binary: bool, start: Key, limit: usize) {
-        let workers = self.shared.workers;
-        let me = self.id;
-        let first = shard_of(start, workers);
-        let mut acc: Vec<(Key, Value)> = Vec::new();
-        let mut next_shard = first;
-        if first == me {
-            self.index.scan(start, limit, &mut acc);
-            next_shard = me + 1;
-        }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if acc.len() >= limit || next_shard >= workers {
-            let bytes = serialize_scan(binary, &acc);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Scan {
-                    binary,
-                    acc,
-                    start,
-                    limit,
-                    next_shard,
-                },
-            );
-            self.forward_scan_hop(id, seq);
-        }
-    }
-
-    /// Sends the next `Scan` hop for a pending scan slot (the slot must
-    /// be `Slot::Scan`); called at creation and on each completion.
-    fn forward_scan_hop(&mut self, id: u64, seq: u64) {
-        let (target, start, remaining) = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let Some(off) = seq.checked_sub(conn.head_seq) else {
-                return;
-            };
-            let Some(Slot::Scan {
+    /// Steps a scan chain (any other slot is left alone): while rows are
+    /// still wanted and shards remain, the next shard's hop runs here if
+    /// worker `me` owns it and is returned for forwarding otherwise. When
+    /// the chain ends the slot becomes the `Ready` SCAN_RES frame. Called
+    /// at creation and on each completion.
+    fn advance_scan(
+        index: &mut DyTis,
+        me: usize,
+        workers: usize,
+        slot: &mut Slot,
+    ) -> Option<(usize, RemoteOp)> {
+        loop {
+            let Slot::Scan {
                 acc,
                 start,
                 limit,
                 next_shard,
-                ..
-            }) = conn.pending.get_mut(off as usize)
+            } = slot
             else {
-                return;
+                return None;
             };
+            if acc.len() >= *limit || *next_shard >= workers {
+                let mut words = Vec::with_capacity(acc.len() * 2);
+                for &(k, v) in acc.iter() {
+                    words.push(k);
+                    words.push(v);
+                }
+                let mut buf = Vec::new();
+                frame::encode_frame(&mut buf, frame::RESP_SCAN, &words);
+                *slot = Slot::Ready(buf);
+                return None;
+            }
             let target = *next_shard;
             *next_shard += 1;
-            (target, *start, *limit - acc.len())
-        };
-        self.forward(target, id, seq, 0, RemoteOp::Scan(start, remaining));
-    }
-
-    fn op_len(&mut self, id: u64, binary: bool) {
-        let local = self.index.len() as u64;
-        let workers = self.shared.workers;
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if workers == 1 {
-            let bytes = serialize_len(binary, local);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Len {
-                    binary,
-                    total: local,
-                    awaiting: (workers - 1) as u32,
-                },
-            );
-            let me = self.id;
-            for s in 0..workers {
-                if s != me {
-                    self.forward(s, id, seq, 0, RemoteOp::Len);
-                }
+            let op = RemoteOp::Scan(*start, *limit - acc.len());
+            if target != me {
+                return Some((target, op));
             }
+            slot.absorb(0, apply(index, op));
         }
     }
 
@@ -1202,25 +1021,11 @@ impl Worker {
                     idx,
                     op,
                 } => {
-                    let resp = match op {
-                        RemoteOp::Set(k, v) => {
-                            self.index.insert(k, v);
-                            RemoteResp::Set
-                        }
-                        RemoteOp::Get(k) => RemoteResp::Get(self.index.get(k)),
-                        RemoteOp::Del(k) => RemoteResp::Del(self.index.remove(k)),
-                        RemoteOp::Scan(start, limit) => {
-                            let mut out = Vec::with_capacity(limit.min(1024));
-                            self.index.scan(start, limit, &mut out);
-                            RemoteResp::Scan(out)
-                        }
-                        RemoteOp::Len => RemoteResp::Len(self.index.len()),
-                    };
                     let done = Msg::Done {
                         conn,
                         seq,
                         idx,
-                        resp,
+                        resp: apply(&mut self.index, op),
                     };
                     if self.peers[from].send(done).is_ok() {
                         self.shared.wakes[from].wake();
@@ -1251,8 +1056,7 @@ impl Worker {
 
     /// Applies one remote completion to its pending slot.
     fn complete(&mut self, id: u64, seq: u64, idx: u32, resp: RemoteResp) {
-        let mut scan_continue = false;
-        {
+        let hop = {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return; // connection died while the op was in flight
             };
@@ -1262,81 +1066,13 @@ impl Worker {
             let Some(slot) = conn.pending.get_mut(off as usize) else {
                 return;
             };
-            match (slot, resp) {
-                (
-                    Slot::Set {
-                        applied, awaiting, ..
-                    },
-                    RemoteResp::Set,
-                ) => {
-                    *applied += 1;
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Get {
-                        results, awaiting, ..
-                    },
-                    RemoteResp::Get(v),
-                ) => {
-                    if let Some(r) = results.get_mut(idx as usize) {
-                        *r = Some(match v {
-                            Some(v) => (true, v),
-                            None => (false, 0),
-                        });
-                    }
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Del {
-                        results, awaiting, ..
-                    },
-                    RemoteResp::Del(v),
-                ) => {
-                    if let Some(r) = results.get_mut(idx as usize) {
-                        *r = Some(match v {
-                            Some(v) => (true, v),
-                            None => (false, 0),
-                        });
-                    }
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Len {
-                        total, awaiting, ..
-                    },
-                    RemoteResp::Len(n),
-                ) => {
-                    *total += n as u64;
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Scan {
-                        binary,
-                        acc,
-                        limit,
-                        next_shard,
-                        ..
-                    },
-                    RemoteResp::Scan(pairs),
-                ) => {
-                    acc.extend(pairs);
-                    let workers = self.shared.workers;
-                    if acc.len() >= *limit || *next_shard >= workers {
-                        let bytes = serialize_scan(*binary, acc);
-                        let off = off as usize;
-                        conn.pending[off] = Slot::Ready(bytes);
-                    } else {
-                        scan_continue = true;
-                    }
-                }
-                // A mismatched completion can only come from memory
-                // corruption or a logic bug; drop it rather than panic the
-                // worker.
-                _ => {}
+            if !slot.absorb(idx, resp) {
+                return;
             }
-        }
-        if scan_continue {
-            self.forward_scan_hop(id, seq);
+            Self::advance_scan(&mut self.index, self.id, self.shared.workers, slot)
+        };
+        if let Some((target, op)) = hop {
+            self.forward(target, id, seq, 0, op);
         }
     }
 
@@ -1365,23 +1101,11 @@ impl Worker {
                     conn.pending.clear();
                     break;
                 }
-                Slot::Set {
-                    binary, applied, ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_set(binary, applied)),
-                Slot::Get {
-                    binary, results, ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_get(binary, &results)),
-                Slot::Del {
-                    binary, results, ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_del(binary, &results)),
-                Slot::Len { binary, total, .. } => {
-                    conn.outbuf.extend_from_slice(&serialize_len(binary, total))
+                Slot::Keyed { resp_op, words, .. } => {
+                    frame::encode_frame(&mut conn.outbuf, resp_op, &words);
+                }
+                Slot::Count { resp_op, total, .. } => {
+                    frame::encode_frame(&mut conn.outbuf, resp_op, &[total]);
                 }
                 // invariant: Scan slots are replaced by Ready on
                 // completion and is_complete() is false until then.
@@ -1425,7 +1149,7 @@ impl Worker {
         let now = Instant::now();
         let read_timeout = self.shared.opts.read_timeout;
         let write_timeout = self.shared.opts.write_timeout;
-        let mut reap: Vec<(u64, bool)> = Vec::new();
+        let mut reap: Vec<u64> = Vec::new();
         for (&id, conn) in &self.conns {
             if let Some(stalled) = conn.write_stalled {
                 if let Some(wt) = write_timeout {
@@ -1440,25 +1164,13 @@ impl Worker {
             }
             if let Some(rt) = read_timeout {
                 if now.duration_since(conn.last_active) > rt {
-                    let binary = matches!(conn.mode, Mode::Binary);
-                    reap.push((id, binary));
+                    reap.push(id);
                 }
             }
         }
-        for (id, binary) in reap {
+        for id in reap {
             obs::counter!("kv.timeouts").inc();
-            if let Some(conn) = self.conns.get_mut(&id) {
-                let bytes = if binary {
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_ERR, &[frame::ERR_IDLE]);
-                    buf
-                } else {
-                    b"ERR idle timeout\n".to_vec()
-                };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                Self::push_slot(conn, seq, Slot::ReadyClose(bytes));
-            }
+            self.queue_frame(id, frame::RESP_ERR, &[frame::ERR_IDLE], true);
             if !self.flush_conn(id) {
                 to_close.push(id);
             }
@@ -1472,103 +1184,6 @@ impl Worker {
             self.shared.live.fetch_sub(1, Ordering::Relaxed);
             obs::gauge!("kv.live_connections").dec();
         }
-    }
-}
-
-enum BinaryParse {
-    /// A frame was consumed; try for another.
-    More,
-    /// The buffer holds no complete frame yet.
-    NeedBytes,
-    /// A fatal error frame was queued; stop parsing this connection.
-    Fatal,
-}
-
-// ---------------------------------------------------------------------------
-// Response serialization (text and binary share the op execution above)
-// ---------------------------------------------------------------------------
-
-fn serialize_set(binary: bool, applied: u64) -> Vec<u8> {
-    if binary {
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_SET, &[applied]);
-        buf
-    } else {
-        b"OK\n".to_vec()
-    }
-}
-
-fn serialize_get(binary: bool, results: &[Option<(bool, Value)>]) -> Vec<u8> {
-    if binary {
-        let mut words = Vec::with_capacity(results.len() * 2);
-        for r in results {
-            // invariant: flush only runs when awaiting == 0, so every
-            // result has been filled in.
-            let (found, v) = r.expect("get result complete");
-            words.push(u64::from(found));
-            words.push(v);
-        }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_GET, &words);
-        buf
-    } else {
-        // invariant: text GET carries exactly one key.
-        let (found, v) = results[0].expect("get result complete");
-        let resp = if found {
-            Response::Value(v)
-        } else {
-            Response::Miss
-        };
-        format!("{}\n", format_response(&resp)).into_bytes()
-    }
-}
-
-fn serialize_del(binary: bool, results: &[Option<(bool, Value)>]) -> Vec<u8> {
-    if binary {
-        let mut words = Vec::with_capacity(results.len() * 2);
-        for r in results {
-            // invariant: flush only runs when awaiting == 0.
-            let (found, v) = r.expect("del result complete");
-            words.push(u64::from(found));
-            words.push(v);
-        }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_DEL, &words);
-        buf
-    } else {
-        // invariant: text DEL carries exactly one key.
-        let (found, v) = results[0].expect("del result complete");
-        let resp = if found {
-            Response::Deleted(v)
-        } else {
-            Response::Miss
-        };
-        format!("{}\n", format_response(&resp)).into_bytes()
-    }
-}
-
-fn serialize_scan(binary: bool, pairs: &[(Key, Value)]) -> Vec<u8> {
-    if binary {
-        let mut words = Vec::with_capacity(pairs.len() * 2);
-        for &(k, v) in pairs {
-            words.push(k);
-            words.push(v);
-        }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_SCAN, &words);
-        buf
-    } else {
-        format!("{}\n", format_response(&Response::Range(pairs.to_vec()))).into_bytes()
-    }
-}
-
-fn serialize_len(binary: bool, total: u64) -> Vec<u8> {
-    if binary {
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_LEN, &[total]);
-        buf
-    } else {
-        format!("{}\n", format_response(&Response::Len(total as usize))).into_bytes()
     }
 }
 
@@ -1600,7 +1215,7 @@ mod tests {
             let Ok(server) = started else { continue };
             assert_eq!(server.addr().port(), port, "requested port discarded");
             assert_eq!(server.worker_addrs()[1].port(), port + 1);
-            let mut c = crate::Client::connect(server.addr()).expect("connect");
+            let mut c = crate::BinClient::connect(server.addr()).expect("connect");
             c.set(9, 90).expect("set");
             assert_eq!(c.get(9).expect("get"), Some(90));
             c.quit().expect("quit");
@@ -1653,7 +1268,7 @@ mod tests {
         let server = TpcServer::with_shards("127.0.0.1:0", opts(), vec![build(&[5]), build(&[hi])])
             .expect("start");
         assert_eq!(server.workers(), 2);
-        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        let mut c = crate::BinClient::connect(server.addr()).expect("connect");
         assert_eq!(c.scan(0, 10).expect("scan"), vec![(5, 5), (hi, hi)]);
         let before = server.maintenance_stats();
         // Small geometry: 2k keys per shard overflow buckets many times.
@@ -1666,7 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip_over_tpc() {
+    fn round_trip_over_tpc() {
         let server = TpcServer::with_options(
             "127.0.0.1:0",
             TpcOptions {
@@ -1675,7 +1290,7 @@ mod tests {
             },
         )
         .expect("start");
-        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        let mut c = crate::BinClient::connect(server.addr()).expect("connect");
         // Keys on both sides of the 2-worker split.
         let lo = 1u64;
         let hi = u64::MAX - 1;
@@ -1695,40 +1310,5 @@ mod tests {
         c.quit().expect("quit");
         let report = server.shutdown();
         assert!(report.drained, "tpc server failed to drain");
-    }
-
-    #[test]
-    fn pipelined_text_burst_keeps_order() {
-        let server = TpcServer::with_options(
-            "127.0.0.1:0",
-            TpcOptions {
-                workers: 3,
-                server: ServerOptions::default(),
-            },
-        )
-        .expect("start");
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut burst = String::new();
-        let n = 500u64;
-        for i in 0..n {
-            let k = i * (u64::MAX / n); // spread across all shards
-            burst.push_str(&format!("SET {k} {i}\n"));
-        }
-        burst.push_str("LEN\n");
-        stream.write_all(burst.as_bytes()).expect("write burst");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        use std::io::BufRead;
-        for i in 0..n {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            assert_eq!(line.trim_end(), "OK", "reply {i} out of order");
-        }
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read len");
-        assert_eq!(line.trim_end(), format!("LEN {n}"));
-        drop(reader);
-        let report = server.shutdown();
-        assert!(report.drained);
     }
 }

@@ -1,13 +1,13 @@
-//! Differential testing of the `DYF1` binary frame against the text
-//! protocol: the same op stream must produce semantically identical
-//! results over both wires (and match an in-process model), CRC damage
-//! must kill the stream rather than corrupt it, and mixed-protocol
-//! sessions must coexist on one server.
+//! Differential testing of the `DYF1` wire: the same op stream must
+//! produce identical results whether every keyed op takes the cross-worker
+//! forwarding hop or none does (and match an in-process model), CRC damage
+//! must kill the stream rather than corrupt it, and a session that does
+//! not open with the preamble is never answered.
 
 #![cfg(unix)]
 
 use kvstore::frame;
-use kvstore::{BinClient, Client, RoutedClient, ServerOptions, TpcOptions, TpcServer};
+use kvstore::{BinClient, RoutedClient, ServerOptions, TpcOptions, TpcServer};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -66,7 +66,7 @@ impl Trace {
     }
 }
 
-/// One op's observable outcome, protocol-agnostic.
+/// One op's observable outcome, client-agnostic.
 #[derive(Debug, PartialEq, Eq)]
 enum Outcome {
     Set,
@@ -76,30 +76,21 @@ enum Outcome {
     Len(u64),
 }
 
-fn run_text(c: &mut Client, op: Op) -> Outcome {
-    match op {
-        Op::Set(k, v) => {
-            c.set(k, v).expect("text set");
-            Outcome::Set
+/// Runs one op through a client; `BinClient` and `RoutedClient` share
+/// method names, not a trait.
+macro_rules! run_wire {
+    ($client:expr, $op:expr) => {
+        match $op {
+            Op::Set(k, v) => {
+                $client.set(k, v).expect("set");
+                Outcome::Set
+            }
+            Op::Get(k) => Outcome::Get($client.get(k).expect("get")),
+            Op::Del(k) => Outcome::Del($client.del(k).expect("del")),
+            Op::Scan(s, n) => Outcome::Scan($client.scan(s, n).expect("scan")),
+            Op::Len => Outcome::Len($client.len().expect("len")),
         }
-        Op::Get(k) => Outcome::Get(c.get(k).expect("text get")),
-        Op::Del(k) => Outcome::Del(c.del(k).expect("text del")),
-        Op::Scan(s, n) => Outcome::Scan(c.scan(s, n).expect("text scan")),
-        Op::Len => Outcome::Len(c.len().expect("text len") as u64),
-    }
-}
-
-fn run_binary(c: &mut BinClient, op: Op) -> Outcome {
-    match op {
-        Op::Set(k, v) => {
-            c.set(k, v).expect("bin set");
-            Outcome::Set
-        }
-        Op::Get(k) => Outcome::Get(c.get(k).expect("bin get")),
-        Op::Del(k) => Outcome::Del(c.del(k).expect("bin del")),
-        Op::Scan(s, n) => Outcome::Scan(c.scan(s, n).expect("bin scan")),
-        Op::Len => Outcome::Len(c.len().expect("bin len")),
-    }
+    };
 }
 
 fn run_model(model: &mut BTreeMap<u64, u64>, op: Op) -> Outcome {
@@ -115,52 +106,29 @@ fn run_model(model: &mut BTreeMap<u64, u64>, op: Op) -> Outcome {
     }
 }
 
-/// Tentpole differential: 2000 ops through the text protocol on one TPC
-/// server, the binary frame on another, and a BTreeMap model — all three
-/// must agree op for op.
+/// Headline differential: 2000 ops through a `BinClient` on worker 0 of a
+/// 3-worker server (about two thirds of the keyed ops forward to another
+/// worker), through a `RoutedClient` on a second server (none forward),
+/// and through a BTreeMap model — all three must agree op for op.
 #[test]
-fn binary_and_text_agree_on_the_same_trace() {
-    let text_server = tpc(3);
-    let bin_server = tpc(3);
-    let mut text = Client::connect(text_server.addr()).expect("text connect");
-    let mut bin = BinClient::connect(bin_server.addr()).expect("bin connect");
+fn forwarded_and_routed_paths_agree_on_the_same_trace() {
+    let fwd_server = tpc(3);
+    let routed_server = tpc(3);
+    let mut fwd = BinClient::connect(fwd_server.addr()).expect("bin connect");
+    let mut routed = RoutedClient::connect(routed_server.worker_addrs()).expect("routed connect");
     let mut model = BTreeMap::new();
 
     let mut trace = Trace::new(0xD47B_1535);
     for i in 0..2000 {
         let op = trace.next_op();
         let expected = run_model(&mut model, op);
-        let from_text = run_text(&mut text, op);
-        let from_bin = run_binary(&mut bin, op);
-        assert_eq!(from_text, expected, "op {i} {op:?}: text diverged");
-        assert_eq!(from_bin, expected, "op {i} {op:?}: binary diverged");
+        assert_eq!(run_wire!(fwd, op), expected, "op {i} {op:?}: forwarded");
+        assert_eq!(run_wire!(routed, op), expected, "op {i} {op:?}: routed");
     }
-    text.quit().expect("text quit");
-    bin.quit().expect("bin quit");
-    assert!(text_server.shutdown().drained);
-    assert!(bin_server.shutdown().drained);
-}
-
-/// Both protocols on the *same* server observe one coherent store.
-#[test]
-fn mixed_protocol_sessions_share_the_store() {
-    let server = tpc(2);
-    let mut text = Client::connect(server.addr()).expect("text connect");
-    let mut bin = BinClient::connect(server.addr()).expect("bin connect");
-
-    text.set(1, 100).expect("text set");
-    bin.set(u64::MAX - 1, 200).expect("bin set");
-    assert_eq!(bin.get(1).expect("bin get"), Some(100));
-    assert_eq!(text.get(u64::MAX - 1).expect("text get"), Some(200));
-    assert_eq!(text.len().expect("text len"), 2);
-    assert_eq!(bin.len().expect("bin len"), 2);
-    assert_eq!(
-        bin.scan(0, 10).expect("bin scan"),
-        vec![(1, 100), (u64::MAX - 1, 200)]
-    );
-    text.quit().expect("text quit");
-    bin.quit().expect("bin quit");
-    server.shutdown();
+    fwd.quit().expect("bin quit");
+    routed.quit().expect("routed quit");
+    assert!(fwd_server.shutdown().drained);
+    assert!(routed_server.shutdown().drained);
 }
 
 /// The routed client: every op lands on the worker that owns its key (no
@@ -317,7 +285,7 @@ fn no_bytes_are_applied_after_a_fatal_frame_error() {
         "no EOF after fault"
     );
 
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut c = BinClient::connect(server.addr()).expect("connect");
     assert_eq!(c.get(1).expect("get"), Some(10), "pre-fault set lost");
     assert_eq!(c.get(2).expect("get"), None, "damaged frame was applied");
     assert_eq!(c.get(3).expect("get"), None, "post-fault frame was applied");
@@ -354,7 +322,7 @@ fn crc_damage_rejects_and_closes() {
     assert_eq!(n, 0, "server kept the connection open after CRC damage");
 
     // The damaged SET was not applied; the valid one was.
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut c = BinClient::connect(server.addr()).expect("connect");
     assert_eq!(c.get(7).expect("get"), Some(70));
     assert_eq!(c.get(8).expect("get"), None);
     server.shutdown();
@@ -383,25 +351,30 @@ fn oversized_frame_header_rejects_and_closes() {
     server.shutdown();
 }
 
-/// A garbled preamble (magic byte followed by the wrong tag) closes the
-/// connection without a reply — the session never negotiated a protocol
-/// to answer in.
+/// A session that does not open with the preamble — a wrong first byte,
+/// or the magic byte followed by the wrong tag — is closed without a
+/// reply as soon as the mismatch is visible: the peer would not
+/// understand a frame. The last case never completes four bytes.
 #[test]
 fn garbled_preamble_closes() {
     let server = tpc(1);
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .write_all(&[frame::MAGIC_BYTE, b'N', b'O', b'!'])
-        .expect("garbled preamble");
-    let mut rest = Vec::new();
-    let n = stream.read_to_end(&mut rest).unwrap_or(0);
-    assert_eq!(n, 0, "server answered a garbled preamble: {rest:?}");
+    let openings: [&[u8]; 3] = [
+        b"GET 1\n",
+        &[frame::MAGIC_BYTE, b'N', b'O', b'!'],
+        &[frame::MAGIC_BYTE, b'Y', b'X'],
+    ];
+    for opening in openings {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.write_all(opening).expect("garbled preamble");
+        let mut rest = Vec::new();
+        let n = stream.read_to_end(&mut rest).unwrap_or(0);
+        assert_eq!(n, 0, "server answered {opening:?} with {rest:?}");
+    }
     server.shutdown();
 }
 
-/// Pipelined binary bursts keep strict request order across shards, same
-/// as the text protocol's guarantee.
+/// Pipelined bursts keep strict request order across shards.
 #[test]
 fn pipelined_binary_burst_keeps_order() {
     let server = tpc(3);

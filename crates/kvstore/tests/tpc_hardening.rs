@@ -1,38 +1,73 @@
 //! The resource envelope under attack (DESIGN.md §16): connection budget
-//! with `ERR busy` admission, capped request lines with resync, idle
-//! reaping, a deadline-bounded drain, and raw wire abuse that must never
-//! drop a connection or misalign a pipeline. Every server here runs ≥ 2
+//! with `ERR_BUSY` admission, capped frames, idle reaping, a
+//! deadline-bounded drain, and raw wire abuse that must never be applied,
+//! leak memory or stall another connection. Every server here runs ≥ 2
 //! workers, and cases with small keys dial worker 1 (`far_conn`), so the
 //! cross-worker forwarding hop is on the path.
 
 #![cfg(unix)]
 
-use kvstore::{Client, RetryPolicy, ServerOptions, TpcOptions, TpcServer};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use kvstore::frame;
+use kvstore::{BinClient, ServerOptions, TpcOptions, TpcServer};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn tpc(workers: usize, server: ServerOptions) -> TpcServer {
     TpcServer::with_options("127.0.0.1:0", TpcOptions { workers, server }).expect("start tpc")
 }
 
-fn raw_conn(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+/// A raw socket that has not said anything yet.
+fn silent_conn(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let reader = BufReader::new(stream.try_clone().expect("clone"));
-    (stream, reader)
+    stream
 }
 
-/// A raw connection to worker 1 of a 2-worker server: every key below
-/// `2^63` belongs to worker 0, so each keyed op takes the forwarding hop.
-fn far_conn(server: &TpcServer) -> (TcpStream, BufReader<TcpStream>) {
+/// A raw DYF1 session: connected, preamble sent.
+fn raw_conn(addr: SocketAddr) -> TcpStream {
+    let mut stream = silent_conn(addr);
+    stream.write_all(&frame::PREAMBLE).expect("preamble");
+    stream
+}
+
+/// A raw session on worker 1 of a 2-worker server: every key below `2^63`
+/// belongs to worker 0, so each keyed op takes the forwarding hop.
+fn far_conn(server: &TpcServer) -> TcpStream {
     raw_conn(server.worker_addrs()[1])
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>) -> String {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read line");
-    line.trim_end().to_string()
+fn send(stream: &mut TcpStream, op: u8, words: &[u64]) {
+    frame::write_frame(stream, op, words).expect("write frame");
+}
+
+fn recv(stream: &mut TcpStream) -> (u8, Vec<u64>) {
+    let (header, words) = frame::read_frame(stream).expect("read frame");
+    (header.op, words)
+}
+
+/// The server closed: nothing more arrives. A reset counts — the server
+/// drops connections whose unread input it will never parse.
+fn assert_eof(stream: &mut TcpStream, why: &str) {
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "{why}: extra bytes {rest:?}"),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+            ),
+            "{why}: {e:?}"
+        ),
+    }
+}
+
+fn wait_for_live(server: &TpcServer, want: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.live_connections() != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.live_connections(), want);
 }
 
 /// Resident set size of this process in bytes (Linux only).
@@ -53,67 +88,60 @@ fn rss_bytes() -> usize {
     panic!("VmRSS not found in /proc/self/status");
 }
 
-/// A newline-free flood must neither balloon worker memory nor kill the
-/// connection: the per-connection input buffer is capped at the line
-/// limit, the stream is discarded as it arrives, and the session resyncs
-/// at the next newline.
+/// A frameless flood must neither balloon worker memory nor disturb other
+/// connections: its first six bytes announce an over-cap frame, so the
+/// server answers `ERR_TOO_LARGE` once, stops reading and closes — the
+/// rest of the 64 MiB is never buffered.
 #[test]
-fn newline_free_flood_is_bounded_and_survivable() {
+fn frameless_flood_is_refused_and_bounded() {
+    let oversized_before = obs::counter("kv.oversized").get();
     let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = raw_conn(server.addr());
+    let mut flood = raw_conn(server.addr());
+    let mut bystander = BinClient::connect(server.worker_addrs()[1]).expect("bystander");
+    bystander.set(1, 10).expect("bystander set");
 
     #[cfg(target_os = "linux")]
     let rss_before = rss_bytes();
 
     let chunk = vec![b'A'; 1 << 20];
-    for _ in 0..64 {
-        stream.write_all(&chunk).expect("write flood chunk");
+    for i in 0..64u64 {
+        // Once the server has closed, the writer sees EPIPE / a reset.
+        let refused = flood.write_all(&chunk).is_err();
+        assert_eq!(bystander.get(1).expect("served during flood"), Some(10));
+        bystander.set(2, i).expect("set during flood");
+        if refused {
+            break;
+        }
     }
-    stream.write_all(b"\nLEN\n").expect("write tail");
-
-    let resp = read_line(&mut reader);
-    assert!(
-        resp.starts_with("ERR line too long"),
-        "expected oversized-line error, got {resp:?}"
+    assert_eq!(
+        recv(&mut flood),
+        (frame::RESP_ERR, vec![frame::ERR_TOO_LARGE])
     );
-    assert_eq!(read_line(&mut reader), "LEN 0");
+    assert_eof(&mut flood, "flooded conn");
+    if obs::ENABLED {
+        assert!(obs::counter("kv.oversized").get() > oversized_before);
+    }
 
     #[cfg(target_os = "linux")]
     {
         let grown = rss_bytes().saturating_sub(rss_before);
         assert!(
             grown < 32 << 20,
-            "RSS grew by {} MiB while streaming a 64 MiB garbage line",
+            "RSS grew by {} MiB while streaming a 64 MiB frameless flood",
             grown >> 20
         );
     }
+    assert_eq!(bystander.len().expect("len"), 2);
+    bystander.quit().expect("quit");
     let report = server.shutdown();
     assert!(report.drained, "flooded tpc server failed to drain");
 }
 
-/// Oversized lines inside a pipelined burst: one error per long line,
-/// every short line answered, strict request order — the in-order
-/// pending-slot queue must hold even with the error path interleaved.
-#[test]
-fn oversized_line_resyncs_within_a_burst() {
-    let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = raw_conn(server.addr());
-
-    let long = "X".repeat(kvstore::protocol::MAX_LINE_BYTES + 1);
-    let burst = format!("SET 1 10\n{long}\nGET 1\n{long}\nLEN\n");
-    stream.write_all(burst.as_bytes()).expect("write burst");
-
-    assert_eq!(read_line(&mut reader), "OK");
-    assert!(read_line(&mut reader).starts_with("ERR line too long"));
-    assert_eq!(read_line(&mut reader), "VALUE 10");
-    assert!(read_line(&mut reader).starts_with("ERR line too long"));
-    assert_eq!(read_line(&mut reader), "LEN 1");
-    server.shutdown();
-}
-
 /// The connection budget is global across workers: with
-/// `max_connections = 2`, the third concurrent connection gets `ERR busy`
-/// and is closed at accept time; freeing a slot re-opens admission.
+/// `max_connections = 2`, the third concurrent connection is answered one
+/// `ERR_BUSY` frame and closed at accept time — a `BinClient` reports it
+/// as the server's error, not as a garbled header — and freeing a slot
+/// re-opens admission.
 #[test]
 fn busy_rejection_at_budget_then_recovery() {
     let opts = ServerOptions {
@@ -121,29 +149,29 @@ fn busy_rejection_at_budget_then_recovery() {
         ..ServerOptions::default()
     };
     let server = tpc(2, opts);
+    let hi = 1u64 << 63; // first key of worker 1's shard
 
-    let mut c1 = Client::connect(server.addr()).expect("connect c1");
+    let mut c1 = BinClient::connect(server.worker_addrs()[0]).expect("connect c1");
     c1.set(1, 1).expect("c1 set");
-    let mut c2 = Client::connect(server.addr()).expect("connect c2");
-    c2.set(2, 2).expect("c2 set");
+    let mut c2 = BinClient::connect(server.worker_addrs()[1]).expect("connect c2");
+    c2.set(hi, 2).expect("c2 set");
     assert_eq!(server.live_connections(), 2);
 
-    let (_s3, mut r3) = raw_conn(server.addr());
-    assert_eq!(read_line(&mut r3), "ERR busy");
-    let mut rest = Vec::new();
-    r3.read_to_end(&mut rest).expect("rejected conn EOF");
-    assert!(rest.is_empty(), "rejected conn got extra bytes {rest:?}");
+    let mut c3 = BinClient::connect(server.addr()).expect("tcp connect c3");
+    let err = c3.len().expect_err("third connection must be rejected");
+    assert_eq!(err.to_string(), "server error 4: busy");
+    assert_eq!(frame::ERR_BUSY, 4);
 
     // Admitted connections were not disturbed — including cross-shard ops
     // that forward between the two workers.
-    assert_eq!(c1.get(2).expect("c1 get"), Some(2));
+    assert_eq!(c1.get(hi).expect("c1 get"), Some(2));
     assert_eq!(c2.get(1).expect("c2 get"), Some(1));
 
     c1.quit().expect("quit c1");
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut admitted = None;
     while Instant::now() < deadline {
-        if let Ok(mut c) = Client::connect_with_retry(server.addr(), &RetryPolicy::default()) {
+        if let Ok(mut c) = BinClient::connect(server.addr()) {
             if c.set(3, 3).is_ok() {
                 admitted = Some(c);
                 break;
@@ -157,7 +185,8 @@ fn busy_rejection_at_budget_then_recovery() {
 }
 
 /// An idle connection is reaped by the read timeout: the worker's sweep
-/// says why (`ERR idle timeout`) and closes, and the budget slot frees.
+/// says why (`ERR_IDLE`) and closes, and the budget slot frees — for a
+/// session gone quiet and for a socket that never sent its preamble alike.
 #[test]
 fn idle_connection_is_reaped() {
     let opts = ServerOptions {
@@ -166,25 +195,25 @@ fn idle_connection_is_reaped() {
     };
     let server = tpc(2, opts);
 
-    let (mut stream, mut reader) = raw_conn(server.addr());
-    stream.write_all(b"LEN\n").expect("write");
-    assert_eq!(read_line(&mut reader), "LEN 0");
-    assert_eq!(server.live_connections(), 1);
+    let mut quiet = raw_conn(server.addr());
+    send(&mut quiet, frame::OP_LEN, &[]);
+    assert_eq!(recv(&mut quiet), (frame::RESP_LEN, vec![0]));
+    let mut mute = silent_conn(server.worker_addrs()[1]);
+    wait_for_live(&server, 2);
 
-    assert_eq!(read_line(&mut reader), "ERR idle timeout");
-    let mut rest = Vec::new();
-    reader.read_to_end(&mut rest).expect("EOF after reap");
-    assert!(rest.is_empty());
-
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.live_connections() != 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
+    for (conn, name) in [(&mut quiet, "quiet session"), (&mut mute, "mute socket")] {
+        assert_eq!(
+            recv(conn),
+            (frame::RESP_ERR, vec![frame::ERR_IDLE]),
+            "{name}"
+        );
+        assert_eof(conn, name);
     }
-    assert_eq!(server.live_connections(), 0, "reaped conn still registered");
+    wait_for_live(&server, 0);
     server.shutdown();
 }
 
-/// Shutdown drains: idle connections and one parked mid-line are all
+/// Shutdown drains: idle connections and one parked mid-frame are all
 /// force-closed and the worker threads joined within the deadline.
 #[test]
 fn shutdown_drains_live_connections() {
@@ -194,21 +223,20 @@ fn shutdown_drains_live_connections() {
     };
     let server = tpc(3, opts);
 
-    let mut parked: Vec<(TcpStream, BufReader<TcpStream>)> = Vec::new();
+    let mut parked: Vec<TcpStream> = Vec::new();
     for _ in 0..3 {
-        let (mut s, mut r) = raw_conn(server.addr());
-        s.write_all(b"LEN\n").expect("write");
-        assert_eq!(read_line(&mut r), "LEN 0");
-        parked.push((s, r));
+        let mut s = raw_conn(server.addr());
+        send(&mut s, frame::OP_LEN, &[]);
+        assert_eq!(recv(&mut s), (frame::RESP_LEN, vec![0]));
+        parked.push(s);
     }
-    let (mut mid, mid_r) = raw_conn(server.addr());
-    mid.write_all(b"SET 1 ").expect("partial write");
-    parked.push((mid, mid_r));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.live_connections() != 4 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(server.live_connections(), 4);
+    let mut mid = raw_conn(server.addr());
+    let mut set = Vec::new();
+    frame::encode_frame(&mut set, frame::OP_SET, &[1, 10]);
+    mid.write_all(&set[..frame::HEADER_LEN + 3])
+        .expect("partial write");
+    parked.push(mid);
+    wait_for_live(&server, 4);
 
     let start = Instant::now();
     let report = server.shutdown();
@@ -224,18 +252,8 @@ fn shutdown_drains_live_connections() {
         "drain took {took:?}, deadline was 5s"
     );
 
-    for (_s, mut r) in parked {
-        let mut rest = Vec::new();
-        match r.read_to_end(&mut rest) {
-            Ok(_) => {}
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
-                ),
-                "unexpected error after drain: {e:?}"
-            ),
-        }
+    for mut s in parked {
+        assert_eof(&mut s, "parked conn after drain");
     }
 }
 
@@ -245,26 +263,26 @@ fn shutdown_drains_live_connections() {
 fn no_admission_after_shutdown() {
     let server = tpc(2, ServerOptions::default());
     let addrs: Vec<_> = server.worker_addrs().to_vec();
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut c = BinClient::connect(server.addr()).expect("connect");
     c.set(1, 1).expect("set");
     c.quit().expect("quit");
     let report = server.shutdown();
     assert!(report.drained);
 
     for addr in addrs {
-        if let Ok(stream) = TcpStream::connect(addr) {
-            let mut r = BufReader::new(stream.try_clone().expect("clone"));
-            let _ = stream.set_nodelay(true);
-            let mut line = String::new();
-            let n = r.read_line(&mut line).unwrap_or(0);
-            assert_eq!(n, 0, "post-shutdown connection was served: {line:?}");
+        if let Ok(mut c) = BinClient::connect(addr) {
+            let served = c.len();
+            assert!(
+                served.is_err(),
+                "post-shutdown connection served: {served:?}"
+            );
         }
     }
 }
 
-/// Concurrent text clients on different workers observe one coherent
-/// store: writes land on their key's shard regardless of which listener
-/// the client happened to dial.
+/// Concurrent clients on different workers observe one coherent store:
+/// writes land on their key's shard regardless of which listener the
+/// client happened to dial.
 #[test]
 fn clients_on_different_workers_share_the_keyspace() {
     let server = tpc(3, ServerOptions::default());
@@ -275,7 +293,7 @@ fn clients_on_different_workers_share_the_keyspace() {
         .map(|(t, addr)| {
             let addr = *addr;
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("connect");
+                let mut c = BinClient::connect(addr).expect("connect");
                 for i in 0..100u64 {
                     // Keys spread over the whole u64 range: most ops land
                     // on a worker other than the connection's own.
@@ -289,7 +307,7 @@ fn clients_on_different_workers_share_the_keyspace() {
     for w in writers {
         w.join().expect("writer");
     }
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let mut c = BinClient::connect(server.addr()).expect("connect");
     assert_eq!(c.len().expect("len"), 300);
     let scan = c.scan(0, 300).expect("scan");
     assert_eq!(scan.len(), 300);
@@ -300,211 +318,178 @@ fn clients_on_different_workers_share_the_keyspace() {
     server.shutdown();
 }
 
-#[test]
-fn invalid_utf8_gets_err_and_connection_survives() {
-    let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = far_conn(&server);
-
-    // 0xFF 0xFE is not valid UTF-8 anywhere in a line.
-    stream.write_all(b"\xff\xfe garbage\n").expect("write");
-    let resp = read_line(&mut reader);
-    assert!(resp.starts_with("ERR"), "expected ERR, got {resp:?}");
-
-    stream.write_all(b"SET 1 100\nGET 1\n").expect("write");
-    assert_eq!(read_line(&mut reader), "OK");
-    assert_eq!(read_line(&mut reader), "VALUE 100");
-    server.shutdown();
-}
-
-#[test]
-fn malformed_command_stream_yields_err_per_line() {
-    let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = far_conn(&server);
-
-    stream
-        .write_all(b"FROB 1\nSET 1\nSET a b\nGET 1 2 3\nLEN\n")
-        .expect("write");
-    for _ in 0..4 {
-        let resp = read_line(&mut reader);
-        assert!(resp.starts_with("ERR"), "expected ERR, got {resp:?}");
-    }
-    assert_eq!(read_line(&mut reader), "LEN 0");
-    server.shutdown();
-}
-
-#[test]
-fn crlf_and_blank_lines_are_tolerated() {
-    let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = far_conn(&server);
-
-    // Windows-style line endings and blank lines (skipped, no response).
-    stream
-        .write_all(b"SET 7 70\r\n\r\n\nGET 7\r\n")
-        .expect("write");
-    assert_eq!(read_line(&mut reader), "OK");
-    assert_eq!(read_line(&mut reader), "VALUE 70");
-    server.shutdown();
-}
-
+/// A non-fatal `ERR` leaves the session usable: QUIT behind it still gets
+/// its `BYE`, and then the server — not the client — ends the connection.
 #[test]
 fn quit_closes_cleanly_after_errors() {
     let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = far_conn(&server);
+    let mut stream = far_conn(&server);
 
-    stream.write_all(b"\xff\xff\xff\nQUIT\n").expect("write");
-    assert!(read_line(&mut reader).starts_with("ERR"));
-    assert_eq!(read_line(&mut reader), "BYE");
-    let mut rest = Vec::new();
-    reader.read_to_end(&mut rest).expect("eof");
-    assert!(rest.is_empty());
+    let too_many = vec![0u64; frame::MAX_KEYS_PER_FRAME as usize + 1];
+    send(&mut stream, frame::OP_GET, &too_many);
+    send(&mut stream, frame::OP_QUIT, &[]);
+    assert_eq!(
+        recv(&mut stream),
+        (frame::RESP_ERR, vec![frame::ERR_KEY_COUNT])
+    );
+    assert_eq!(recv(&mut stream), (frame::RESP_BYE, vec![]));
+    assert_eof(&mut stream, "after BYE");
     server.shutdown();
 }
 
-/// A request is complete only at its newline: a peer that dies mid-write
-/// must not get the prefix it managed to send applied as a shorter request.
+/// A request is complete only at its last CRC byte (`kvstore::frame`): a
+/// peer that dies mid-write must not get the pairs it managed to send
+/// applied as a shorter request.
 #[test]
 fn truncated_request_is_never_applied() {
     let server = tpc(2, ServerOptions::default());
-    let (mut stream, mut reader) = far_conn(&server);
+    let mut stream = far_conn(&server);
 
-    stream.write_all(b"SET 7 70\nSET 8 8").expect("write");
+    let mut wire = Vec::new();
+    frame::encode_frame(&mut wire, frame::OP_SET, &[7, 70]);
+    let whole = wire.len();
+    frame::encode_frame(&mut wire, frame::OP_SET, &[8, 80, 9, 90]);
+    // Cut inside the second frame's payload: pair (8, 80) is fully sent.
+    wire.truncate(whole + frame::HEADER_LEN + 20);
+    stream.write_all(&wire).expect("write");
     stream.shutdown(Shutdown::Write).expect("half-close");
-    let mut replies = String::new();
-    reader.read_to_string(&mut replies).expect("read to EOF");
-    assert_eq!(replies, "OK\n", "only the terminated request is answered");
 
-    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+    assert_eq!(recv(&mut stream), (frame::RESP_SET, vec![1]));
+    assert_eof(&mut stream, "only the whole frame is answered");
+
+    let mut c = BinClient::connect(server.worker_addrs()[1]).expect("connect");
     assert_eq!(c.get(7).expect("get 7"), Some(70));
-    assert_eq!(c.get(8).expect("get 8"), None, "`SET 8 8` had no newline");
+    assert_eq!(c.get(8).expect("get 8"), None, "cut frame was applied");
     assert_eq!(c.len().expect("len"), 1);
     server.shutdown();
 }
 
-/// A slowloris writer — bytes trickling in with no newline — cannot hold
-/// a line buffer open past the cap; it gets the oversized-line error and
-/// the connection then resyncs normally.
+/// A slowloris writer — a request trickling in one byte at a time,
+/// preamble included — is assembled across wakeups and answered.
 #[test]
-fn slowloris_writer_hits_the_line_cap() {
+fn trickled_request_is_answered() {
     let opts = ServerOptions {
-        max_line_bytes: 64,
         read_timeout: Some(Duration::from_secs(10)),
         ..ServerOptions::default()
     };
     let server = tpc(2, opts);
-    let (mut stream, mut reader) = far_conn(&server);
+    let mut seed = BinClient::connect(server.addr()).expect("connect");
+    seed.set(9, 90).expect("seed");
 
-    // 16 bytes at a time; after 5 writes (80 bytes > 64) the server must
-    // refuse the line even though no newline ever arrived.
-    for _ in 0..5 {
-        stream.write_all(&[b'z'; 16]).expect("trickle");
+    let mut stream = silent_conn(server.worker_addrs()[1]);
+    let mut wire = frame::PREAMBLE.to_vec();
+    frame::encode_frame(&mut wire, frame::OP_GET, &[9]);
+    for b in wire {
+        stream.write_all(&[b]).expect("trickle");
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(read_line(&mut reader).starts_with("ERR line too long"));
-
-    stream.write_all(b"\nSET 9 90\nGET 9\n").expect("write");
-    assert_eq!(read_line(&mut reader), "OK");
-    assert_eq!(read_line(&mut reader), "VALUE 90");
+    assert_eq!(recv(&mut stream), (frame::RESP_GET, vec![1, 90]));
     server.shutdown();
 }
 
-/// Byte-exact cap boundary over a real socket: a request line of exactly
-/// `max_line_bytes` is served, one byte more gets `ERR line too long` and
-/// the connection resyncs — whether the line arrives in one write or one
-/// byte per write (every incremental accumulation path in the worker).
+/// Cap boundary over a real socket: a SET of exactly `MAX_FRAME_WORDS`
+/// words is served — whether it arrives in one write or with header and
+/// trailer one byte per write (every incremental accumulation path in the
+/// worker) — and the stream stays aligned for the request behind it. One
+/// word more is `oversized_frame_header_rejects_and_closes`.
 #[test]
-fn line_cap_boundary_over_the_wire() {
-    let cap = 64usize;
-    let opts = ServerOptions {
-        max_line_bytes: cap,
-        ..ServerOptions::default()
-    };
-    let server = tpc(2, opts);
-    // "GET 7" padded with trailing spaces: the parser tolerates
-    // whitespace, so the at-cap line is a well-formed request.
-    let at_cap = format!("GET 7{}\n", " ".repeat(cap - 5));
-    let over_cap = format!("GET 7{}\n", " ".repeat(cap - 4));
-    assert_eq!((at_cap.len(), over_cap.len()), (cap + 1, cap + 2));
+fn frame_cap_boundary_over_the_wire() {
+    let server = tpc(2, ServerOptions::default());
+    let pairs = u64::from(frame::MAX_FRAME_WORDS) / 2;
 
-    for trickle in [false, true] {
-        let (mut stream, mut reader) = far_conn(&server);
-        let mut send = |line: &str| {
-            if trickle {
-                for b in line.bytes() {
-                    stream.write_all(&[b]).expect("trickle byte");
-                }
-            } else {
-                stream.write_all(line.as_bytes()).expect("write");
+    for (trickle, base) in [(false, 1_000_000u64), (true, 2_000_000)] {
+        let mut stream = far_conn(&server);
+        let words: Vec<u64> = (0..pairs).flat_map(|k| [k, base + k]).collect();
+        let mut wire = Vec::new();
+        frame::encode_frame(&mut wire, frame::OP_SET, &words);
+        if trickle {
+            let (header, rest) = wire.split_at(frame::HEADER_LEN);
+            let (payload, trailer) = rest.split_at(rest.len() - frame::TRAILER_LEN);
+            for b in header {
+                stream.write_all(&[*b]).expect("header byte");
             }
-        };
-        send(&at_cap);
-        assert_eq!(read_line(&mut reader), "MISS", "trickle={trickle}");
-        send(&over_cap);
-        let resp = read_line(&mut reader);
-        assert!(resp.starts_with("ERR line too long"), "got {resp:?}");
-        send("SET 7 70\nGET 7\nDEL 7\n");
-        assert_eq!(read_line(&mut reader), "OK");
-        assert_eq!(read_line(&mut reader), "VALUE 70");
-        assert_eq!(read_line(&mut reader), "DELETED 70");
+            for chunk in payload.chunks(100_000) {
+                stream.write_all(chunk).expect("payload chunk");
+            }
+            for b in trailer {
+                stream.write_all(&[*b]).expect("trailer byte");
+            }
+        } else {
+            stream.write_all(&wire).expect("write");
+        }
+        assert_eq!(
+            recv(&mut stream),
+            (frame::RESP_SET, vec![pairs]),
+            "trickle={trickle}"
+        );
+        send(&mut stream, frame::OP_GET, &[7, pairs]);
+        assert_eq!(
+            recv(&mut stream),
+            (frame::RESP_GET, vec![1, base + 7, 0, 0]),
+            "trickle={trickle}"
+        );
     }
     server.shutdown();
 }
 
-/// A mid-pipeline `ERR` must not misalign batch replies. The line cap
-/// rejects exactly one op of the batch; the client must consume one reply
-/// per op, report which op failed, and stay in lockstep afterwards.
+/// The fatal request faults no other test sends: each draws its typed
+/// `ERR` frame and a close, and a valid SET pipelined behind it in the
+/// same write is never applied.
 #[test]
-fn mid_pipeline_err_does_not_misalign_batches() {
-    // Cap of 20 bytes: "SET <20-digit-key> <v>" exceeds it, "SET 1 10"
-    // does not — so one specific op of the batch draws the error.
-    let opts = ServerOptions {
-        max_line_bytes: 20,
-        ..ServerOptions::default()
-    };
-    let server = tpc(2, opts);
-    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+fn fatal_request_faults_are_typed_and_poison_the_stream() {
+    let cases: [(&str, u8, &[u64], u64); 5] = [
+        ("unknown op", 0x42, &[], frame::ERR_UNKNOWN_OP),
+        ("odd-length SET", frame::OP_SET, &[1], frame::ERR_BAD_COUNT),
+        (
+            "SCAN with 1 word",
+            frame::OP_SCAN,
+            &[0],
+            frame::ERR_BAD_COUNT,
+        ),
+        (
+            "SCAN with 3 words",
+            frame::OP_SCAN,
+            &[0, 1, 2],
+            frame::ERR_BAD_COUNT,
+        ),
+        (
+            "LEN with a payload",
+            frame::OP_LEN,
+            &[1],
+            frame::ERR_BAD_COUNT,
+        ),
+    ];
+    let malformed_before = obs::counter("kv.malformed").get();
+    let server = tpc(2, ServerOptions::default());
+    let mut witness = BinClient::connect(server.addr()).expect("witness");
 
-    let long_key = u64::MAX; // 20 decimal digits
-    let pairs = [(1u64, 10u64), (long_key, 20), (3, 30)];
-    let report = c.set_batch_report(&pairs).expect("set_batch_report");
-    assert_eq!(report.failures.len(), 1, "exactly one op must fail");
-    assert_eq!(report.failures[0].0, 1, "the oversized op is index 1");
-    assert!(
-        report.failures[0].1.contains("line too long"),
-        "failure must carry the server message, got {:?}",
-        report.failures[0].1
-    );
+    for (i, (name, op, words, code)) in cases.into_iter().enumerate() {
+        let behind = 100 + i as u64;
+        let mut wire = frame::PREAMBLE.to_vec();
+        frame::encode_frame(&mut wire, op, words);
+        frame::encode_frame(&mut wire, frame::OP_SET, &[behind, 1]);
+        let mut stream = silent_conn(server.worker_addrs()[1]);
+        stream.write_all(&wire).expect("write");
 
-    // The stream is still aligned. (The long key cannot be GETted — its
-    // request line also exceeds the cap — so its absence shows up as
-    // LEN 2 and a 2-row scan.)
-    assert_eq!(c.get(1).expect("get"), Some(10));
-    assert_eq!(c.get(3).expect("get"), Some(30));
-    assert_eq!(c.len().expect("len"), 2);
-    assert_eq!(c.scan(0, 10).expect("scan"), vec![(1, 10), (3, 30)]);
-
-    let (vals, report) = c
-        .get_batch_report(&[1, long_key, 3])
-        .expect("get_batch_report");
-    assert_eq!(vals, vec![Some(10), None, Some(30)]);
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].0, 1);
-
-    // The Result-shaped wrappers surface the failure as an error but
-    // still drain the pipeline: the connection survives.
-    let err = c.set_batch(&pairs).expect_err("set_batch must error");
-    assert!(err.to_string().contains("op 1"), "got {err}");
-    assert_eq!(c.len().expect("len after err"), 2);
-    c.quit().expect("quit");
+        assert_eq!(recv(&mut stream), (frame::RESP_ERR, vec![code]), "{name}");
+        assert_eof(&mut stream, name);
+        assert_eq!(witness.get(behind).expect("get"), None, "{name}");
+    }
+    assert_eq!(witness.len().expect("len"), 0);
+    if obs::ENABLED {
+        let counted = obs::counter("kv.malformed").get() - malformed_before;
+        assert!(counted >= 5, "kv.malformed counted {counted} of 5 faults");
+    }
     server.shutdown();
 }
 
 #[test]
 fn batched_ops_round_trip() {
     let server = tpc(2, ServerOptions::default());
-    let mut c = Client::connect(server.worker_addrs()[1]).expect("connect");
+    let mut c = BinClient::connect(server.worker_addrs()[1]).expect("connect");
     let pairs: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k * 2)).collect();
-    c.set_batch(&pairs).expect("set_batch");
-    assert_eq!(c.len().expect("len"), pairs.len());
+    assert_eq!(c.set_batch(&pairs).expect("set_batch"), 3_000);
+    assert_eq!(c.len().expect("len"), 3_000);
     let keys: Vec<u64> = (0..3_001u64).collect();
     let got = c.get_batch(&keys).expect("get_batch");
     let want: Vec<Option<u64>> = keys.iter().map(|&k| (k < 3_000).then_some(k * 2)).collect();
@@ -513,29 +498,4 @@ fn batched_ops_round_trip() {
     assert_eq!(c.get(1).expect("get"), Some(2));
     c.quit().expect("quit");
     server.shutdown();
-}
-
-#[test]
-fn connect_with_retry_reaches_a_live_server() {
-    let server = tpc(2, ServerOptions::default());
-    let mut c = Client::connect_with_retry(server.worker_addrs()[1], &RetryPolicy::default())
-        .expect("retry connect");
-    c.set(1, 1).expect("set");
-    c.quit().expect("quit");
-    server.shutdown();
-}
-
-#[test]
-fn connect_with_retry_gives_up_on_dead_address() {
-    // Bind-then-drop guarantees a port with no listener.
-    let addr = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .expect("probe addr");
-    let policy = RetryPolicy {
-        attempts: 3,
-        initial_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-    };
-    let err = Client::connect_with_retry(addr, &policy);
-    assert!(err.is_err(), "connect to a dropped listener succeeded");
 }
