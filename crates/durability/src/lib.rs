@@ -11,11 +11,16 @@
 //! 2. Periodically the index is checkpointed with [`save_index`] (the
 //!    `DYTIS2` format, CRC-64/XZ protected) and the log is rotated with
 //!    [`Wal::rotate`].
-//! 3. On startup, [`recover_log_file`] replays the log's valid prefix over
-//!    the checkpoint and truncates the file at the first torn or corrupt
-//!    record. Records are absolute (`Put key value` / `Delete key`), so
-//!    replaying a whole log over a newer checkpoint is idempotent and no
-//!    sequence-number fencing is needed.
+//! 3. On startup, [`read_checkpoint`] restores the checkpoint and
+//!    [`recover_log_file`] replays the log's valid prefix over it,
+//!    truncating the file at the first torn or corrupt record. Records are
+//!    absolute (`Put key value` / `Delete key`), so replaying a whole log
+//!    over a newer checkpoint is idempotent and no sequence-number fencing
+//!    is needed.
+//!
+//! This crate owns the two byte formats and their readers; the file-level
+//! protocol over them — the atomic checkpoint publish and the one recovery
+//! routine — is `dytis::persist::{write_checkpoint, recover}`.
 //!
 //! The recovery invariant, tested byte-by-byte via [`FailpointWriter`]:
 //! after a crash at *any* point in the byte stream, recovery yields exactly
@@ -28,7 +33,7 @@ pub mod record;
 pub mod recover;
 pub mod wal;
 
-pub use checkpoint::{load_body, load_index, load_into, load_pairs, save_index, CKPT_MAGIC};
+pub use checkpoint::{read_checkpoint, save_index, CKPT_MAGIC};
 pub use crc64::{crc64, Crc64};
 pub use failpoint::{CrashPlan, FailpointWriter, CRASH_MSG};
 pub use record::{

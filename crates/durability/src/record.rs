@@ -262,4 +262,27 @@ mod tests {
             DecodedHeader::Corrupt(_)
         ));
     }
+
+    /// The exact DYWAL1 image of a header at base 1, a Put and a Delete.
+    /// Logs already on disk must keep replaying, so these bytes never move.
+    #[test]
+    fn dywal1_bytes_are_pinned() {
+        let mut buf = encode_header(1).to_vec();
+        encode_record(1, WalOp::Put, 42, 4200, &mut buf);
+        encode_record(2, WalOp::Delete, 42, 0, &mut buf);
+        let golden: [u8; 24 + 2 * 37] = [
+            68, 89, 87, 65, 76, 49, 0, 0, // magic "DYWAL1\0\0"
+            1, 0, 0, 0, 0, 0, 0, 0, // base_seq
+            115, 10, 153, 11, 45, 200, 152, 228, // header crc64
+            25, 0, 0, 0, // len
+            145, 30, 238, 131, 116, 233, 95, 136, // payload crc64
+            1, 0, 0, 0, 0, 0, 0, 0, 1, // seq 1, Put
+            42, 0, 0, 0, 0, 0, 0, 0, 104, 16, 0, 0, 0, 0, 0, 0, // key 42, value 4200
+            25, 0, 0, 0, // len
+            91, 19, 1, 154, 169, 134, 44, 80, // payload crc64
+            2, 0, 0, 0, 0, 0, 0, 0, 2, // seq 2, Delete
+            42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // key 42, value 0
+        ];
+        assert_eq!(buf, golden);
+    }
 }

@@ -19,7 +19,7 @@ use durability::{FileStorage, Seq, Wal, WalOp, WalStats};
 use dytis::{DyTis, Params};
 use index_traits::{AuditReport, Auditable, Key, KvIndex, MaintenanceStats, Value};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,14 +86,14 @@ enum DurableCmd {
 /// visit shards one after another without stopping writers, so they are
 /// not atomic across shards.
 ///
-/// Files live under the store's directory as `shard-<i>.ckpt` (the `DYTIS2`
-/// format of `dytis::persist`) and `shard-<i>.wal` (the `DYWAL1` framing of
-/// `durability::record`); shard `i` holds the keys whose top `shard_bits`
-/// bits are `i`, which is what [`shard_of`] computes for a power-of-two
-/// shard count. [`DurableShardedStore::open`] recovers each shard
-/// by loading its checkpoint and replaying the log's valid prefix; replay
-/// is idempotent (records are absolute puts/deletes), so a log that
-/// predates the newest checkpoint is harmless.
+/// Files live under the store's directory as `shard-<i>.ckpt` (a `DYTIS2`
+/// checkpoint, `durability::checkpoint`) and `shard-<i>.wal` (the `DYWAL1`
+/// framing of `durability::record`); shard `i` holds the keys whose top
+/// `shard_bits` bits are `i`, which is what [`shard_of`] computes for a
+/// power-of-two shard count. [`DurableShardedStore::open`] recovers each
+/// shard with `dytis::persist::recover` — checkpoint, then the log's valid
+/// prefix; replay is idempotent (records are absolute puts/deletes), so a
+/// log that predates the newest checkpoint is harmless.
 pub struct DurableShardedStore {
     senders: Vec<SyncSender<DurableCmd>>,
     handles: Vec<JoinHandle<()>>,
@@ -121,22 +121,11 @@ impl DurableShardedStore {
         let mut handles = Vec::with_capacity(n);
         let mut wals = Vec::with_capacity(n);
         for i in 0..n {
-            let ckpt_path = dir.join(format!("shard-{i}.ckpt"));
-            let wal_path = dir.join(format!("shard-{i}.wal"));
-            let mut idx = match std::fs::File::open(&ckpt_path) {
-                Ok(f) => {
-                    let mut r = std::io::BufReader::new(f);
-                    dytis::persist::load_from(&mut r, opts.params)?
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => DyTis::with_params(opts.params),
-                Err(e) => return Err(e),
-            };
-            let recovered = durability::recover_log_file(&wal_path, |rec| match rec.op {
-                WalOp::Put => idx.insert(rec.key, rec.value),
-                WalOp::Delete => {
-                    idx.remove(rec.key);
-                }
-            })?;
+            let (idx, recovered) = dytis::persist::recover(
+                &dir.join(format!("shard-{i}.ckpt")),
+                &dir.join(format!("shard-{i}.wal")),
+                opts.params,
+            )?;
             if recovered.truncated_bytes > 0 {
                 obs::counter!("kv.wal.truncated_recoveries").inc();
             }
@@ -458,8 +447,10 @@ fn durable_engine(
     }
 }
 
-/// Writes `shard-<i>.ckpt` atomically (tmp + fsync + rename + dir fsync),
-/// then rotates the shard's WAL.
+/// Writes `shard-<i>.ckpt` atomically (see
+/// [`dytis::persist::write_checkpoint`]), then rotates the shard's WAL —
+/// only after the rename is durable, so the log is never dropped before the
+/// checkpoint that covers it.
 fn checkpoint_shard(
     idx: &DyTis,
     wal: &Wal<FileStorage>,
@@ -467,19 +458,7 @@ fn checkpoint_shard(
     shard: usize,
 ) -> io::Result<()> {
     let _t = obs::Timer::start(obs::histogram!("kv.ckpt_ns"));
-    let tmp: PathBuf = dir.join(format!("shard-{shard}.ckpt.tmp"));
-    let dst: PathBuf = dir.join(format!("shard-{shard}.ckpt"));
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        dytis::persist::save_to(idx, &mut w)?;
-        let file = w.into_inner().map_err(|e| e.into_error())?;
-        file.sync_data()?;
-    }
-    std::fs::rename(&tmp, &dst)?;
-    // Make the rename itself durable before the log is rotated away.
-    #[cfg(unix)]
-    std::fs::File::open(dir)?.sync_all()?;
+    dytis::persist::write_checkpoint(idx, &dir.join(format!("shard-{shard}.ckpt")))?;
     wal.rotate()?;
     obs::counter!("kv.ckpt.written").inc();
     Ok(())

@@ -10,12 +10,13 @@
 //! ```
 
 use dytis_repro::datasets::{Dataset, DatasetSpec};
+use dytis_repro::durability;
 use dytis_repro::dytis::persist;
-use dytis_repro::dytis::{DyTis, Params};
+use dytis_repro::dytis::DyTis;
 use dytis_repro::index_traits::KvIndex;
 use dytis_repro::kvstore::{shard_of, BinClient, ServerOptions, TpcServer};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 
 fn main() {
     let n = 50_000;
@@ -35,15 +36,14 @@ fn main() {
     // Phase 2: checkpoint. The shards live inside the worker threads, so
     // the (quiesced) store is drained over the wire — `scan` chains
     // frame-sized requests until the key space is exhausted — into one
-    // single-threaded index, which is written as one DYTIS2 stream.
+    // single-threaded index, which is published atomically as one DYTIS2
+    // file.
     let mut snapshot = DyTis::new();
     for (k, v) in client.scan(0, usize::MAX).expect("scan") {
         snapshot.insert(k, v);
     }
     let path = std::env::temp_dir().join("dytis_checkpoint.bin");
-    let mut w = BufWriter::new(File::create(&path).expect("create"));
-    persist::save_to(&snapshot, &mut w).expect("checkpoint");
-    drop(w);
+    persist::write_checkpoint(&snapshot, &path).expect("checkpoint");
     client.quit().expect("quit");
     server.shutdown();
     println!(
@@ -53,18 +53,21 @@ fn main() {
         std::fs::metadata(&path).expect("stat").len()
     );
 
-    // Phase 3: restart. Load the checkpoint, deal its pairs out to one
-    // shard per worker with the server's own partition function, and serve
-    // those shards.
-    let mut r = BufReader::new(File::open(&path).expect("open"));
-    let restored = persist::load_from(&mut r, Params::default()).expect("restore");
-    assert_eq!(restored.len(), n);
+    // Phase 3: restart. Stream the checkpoint's pairs straight into one
+    // shard per worker, dealt out with the server's own partition function,
+    // and serve those shards.
     let workers = 2;
     let mut shards: Vec<DyTis> = (0..workers).map(|_| DyTis::new()).collect();
-    let mut all = Vec::with_capacity(n);
-    restored.scan(0, n, &mut all);
-    for (k, v) in all {
+    let mut r = BufReader::new(File::open(&path).expect("open"));
+    let restored = durability::read_checkpoint(&mut r, |k, v| {
         shards[shard_of(k, workers)].insert(k, v);
+    })
+    .expect("restore");
+    assert_eq!(restored, n as u64);
+    // Debug builds re-audit every restored shard before it serves.
+    #[cfg(debug_assertions)]
+    for shard in &shards {
+        dytis_repro::index_traits::Auditable::audit(shard).assert_clean();
     }
     let server = TpcServer::with_shards("127.0.0.1:0", ServerOptions::default(), shards)
         .expect("restart from checkpoint");

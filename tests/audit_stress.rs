@@ -5,7 +5,8 @@
 //! and a persist→recover round trip preserves every invariant.
 
 use dytis_repro::alex_index::Alex;
-use dytis_repro::dytis::persist::{load_from, save_to};
+use dytis_repro::durability::save_index;
+use dytis_repro::dytis::persist::load_from;
 use dytis_repro::dytis::{ConcurrentDyTis, DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{Auditable, ConcurrentKvIndex, KvIndex};
@@ -151,7 +152,7 @@ fn persist_recover_audit_clean() {
     assert!(before.is_clean(), "violations: {:?}", before.violations);
 
     let mut bytes = Vec::new();
-    save_to(&idx, &mut bytes).expect("save");
+    save_index(&idx, &mut bytes).expect("save");
     let recovered = load_from(&mut bytes.as_slice(), Params::small()).expect("load");
 
     assert_eq!(recovered.len(), idx.len());

@@ -1,8 +1,8 @@
 //! Property-based checkpoint roundtrips: for every `KvIndex + BulkLoad`
 //! implementation, a `DYTIS2` save → restore cycle must reproduce the exact
-//! pair set — via both restore paths (bulk load and the insert-by-insert
-//! loader) — for arbitrary key sets including the empty and single-key
-//! edges.
+//! pair set — via both builds over the one reader (collect-then-bulk-load
+//! and insert-by-insert) — for arbitrary key sets including the empty and
+//! single-key edges.
 //!
 //! Gated behind the `proptest` feature (`cargo test --features proptest`)
 //! so the default offline test run stays lean.
@@ -35,8 +35,8 @@ fn dump<I: KvIndex>(idx: &I) -> Vec<(u64, u64)> {
     out
 }
 
-/// Save via the generic `DYTIS2` writer, then restore through BOTH loader
-/// paths and demand exact equality with the source pairs.
+/// Save via the generic `DYTIS2` writer, then restore through BOTH builds
+/// fed by the one reader and demand exact equality with the source pairs.
 fn roundtrip<I: KvIndex + BulkLoad>(new: impl Fn() -> I, pairs: &[(u64, u64)]) {
     // Source index built through the normal insert path.
     let mut src = new();
@@ -48,14 +48,18 @@ fn roundtrip<I: KvIndex + BulkLoad>(new: impl Fn() -> I, pairs: &[(u64, u64)]) {
     let mut buf = Vec::new();
     durability::save_index(&src, &mut buf).expect("save");
 
-    // Path 1: bulk-load restore (how the learned baselines reload).
-    let bulk: I = durability::load_index(&mut Cursor::new(&buf)).expect("bulk restore");
+    // Path 1: collect the stream, then bulk load (how the learned
+    // baselines reload).
+    let mut read = Vec::new();
+    durability::read_checkpoint(&mut Cursor::new(&buf), |k, v| read.push((k, v))).expect("read");
+    let bulk = I::bulk_load(&read);
     assert_eq!(bulk.len(), pairs.len(), "{}: bulk len", bulk.name());
     assert_eq!(dump(&bulk), pairs, "{}: bulk contents", bulk.name());
 
     // Path 2: insert-by-insert restore into a fresh index.
     let mut incremental = new();
-    durability::load_into(&mut Cursor::new(&buf), &mut incremental).expect("insert restore");
+    durability::read_checkpoint(&mut Cursor::new(&buf), |k, v| incremental.insert(k, v))
+        .expect("insert restore");
     assert_eq!(
         dump(&incremental),
         pairs,

@@ -2,11 +2,12 @@
 //! files, fed by the synthetic datasets.
 
 use dytis_repro::datasets::{load_keys, save_keys, Dataset, DatasetSpec};
-use dytis_repro::dytis::persist::{load_from, replay, save_to, Wal};
+use dytis_repro::durability::{FileStorage, Wal, WalOp, WalOptions};
+use dytis_repro::dytis::persist::{load_from, recover, write_checkpoint};
 use dytis_repro::dytis::{DyTis, Params};
 use dytis_repro::index_traits::KvIndex;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 
 const N: usize = if cfg!(debug_assertions) {
     8_000
@@ -30,9 +31,7 @@ fn checkpoint_file_roundtrip_per_dataset() {
             idx.insert(k, i as u64);
         }
         let path = dir.join(format!("{}.ckpt", ds.short_name()));
-        let mut w = BufWriter::new(File::create(&path).expect("create"));
-        save_to(&idx, &mut w).expect("save");
-        drop(w);
+        write_checkpoint(&idx, &path).expect("save");
         let mut r = BufReader::new(File::open(&path).expect("open"));
         let restored = load_from(&mut r, Params::default()).expect("load");
         assert_eq!(restored.len(), idx.len(), "{ds:?}");
@@ -55,29 +54,30 @@ fn crash_recovery_checkpoint_plus_wal() {
         idx.insert(*k, i as u64);
     }
     let ckpt_path = dir.join("crash.ckpt");
-    let mut w = BufWriter::new(File::create(&ckpt_path).expect("create"));
-    save_to(&idx, &mut w).expect("checkpoint");
-    drop(w);
+    write_checkpoint(&idx, &ckpt_path).expect("checkpoint");
 
     let wal_path = dir.join("crash.wal");
-    let mut wal = Wal::new(BufWriter::new(File::create(&wal_path).expect("create")));
+    let file = File::create(&wal_path).expect("create");
+    let wal = Wal::create(FileStorage::new(file), 1, WalOptions::default()).expect("log");
+    let mut last = 0;
     for (i, k) in keys[split..].iter().enumerate() {
         idx.insert(*k, (split + i) as u64);
-        wal.log_insert(*k, (split + i) as u64).expect("log");
+        last = wal.append(WalOp::Put, *k, (split + i) as u64).expect("log");
     }
     // Deletions also go through the log.
     for k in keys[..100].iter() {
         idx.remove(*k);
-        wal.log_remove(*k).expect("log");
+        last = wal.append(WalOp::Delete, *k, 0).expect("log");
     }
-    drop(wal.into_inner().expect("flush"));
+    wal.sync(last).expect("sync");
+    // "Crash": the committer stops; the synced log is all that remains.
+    wal.crash();
+    drop(wal);
 
     // Run 2: recover from disk only.
-    let mut r = BufReader::new(File::open(&ckpt_path).expect("open"));
-    let mut recovered = load_from(&mut r, Params::default()).expect("restore");
-    let mut lr = BufReader::new(File::open(&wal_path).expect("open"));
-    let applied = replay(&mut lr, &mut recovered).expect("replay");
-    assert_eq!(applied, (keys.len() - split) + 100);
+    let (recovered, log) = recover(&ckpt_path, &wal_path, Params::default()).expect("recover");
+    assert_eq!(log.replayed, ((keys.len() - split) + 100) as u64);
+    assert_eq!(log.truncated_bytes, 0);
     assert_eq!(recovered.len(), idx.len());
     for (i, k) in keys.iter().enumerate().step_by(331) {
         assert_eq!(recovered.get(*k), idx.get(*k), "key {k} (i={i})");
