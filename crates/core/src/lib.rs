@@ -18,7 +18,7 @@
 //!
 //! The concurrent index (§3.4) is [`ConcurrentDyTis`] (`concurrent.rs`):
 //! one latch protocol, a per-table directory lock over per-segment
-//! reader/writer locks, with optimistic lock-free reads on top. It and
+//! reader/writer locks, taken by readers and writers alike. It and
 //! [`DyTis`] share one Algorithm 1 ([`segment::Segment::repair_in_place`])
 //! and one §3.3 segment-size rule ([`segment::adaptive_limit_mult`]).
 //!
@@ -45,7 +45,6 @@ pub mod bucket;
 pub mod concurrent;
 pub mod cursor;
 pub mod eh;
-pub mod epoch;
 pub mod params;
 pub mod persist;
 pub mod remap;
@@ -54,7 +53,7 @@ pub mod simd;
 pub mod stats;
 pub mod sync;
 
-pub use concurrent::{ConcurrentDyTis, ReadStats};
+pub use concurrent::ConcurrentDyTis;
 pub use cursor::{CursorInvalidated, ScanCursor};
 pub use params::Params;
 pub use stats::{DytisStats, OpTimes};

@@ -29,10 +29,10 @@
 //! kernel so benches only assert SIMD speedup bars where SIMD actually
 //! dispatched.
 
-// This module is the crate's second sanctioned unsafe boundary (after
-// `epoch`): CPU intrinsics behind runtime feature detection. Each unsafe
-// site carries a `justified:` argument; the xtask `unsafe-blocks` lint
-// enforces their presence.
+// This module is the crate's one sanctioned unsafe boundary: CPU
+// intrinsics behind runtime feature detection. Each unsafe site carries a
+// `justified:` argument; the xtask `unsafe-blocks` lint allowlists this
+// file by path and enforces their presence.
 #![allow(unsafe_code)]
 // Each unsafe operation needs its own block + justification even inside
 // the `target_feature` fn below.

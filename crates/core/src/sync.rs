@@ -1,10 +1,10 @@
 //! Synchronization facade for concurrent DyTIS.
 //!
 //! Everything the two-level locking protocol of §3.4 touches — directory
-//! and segment locks, the epoch collector's mutex, maintenance counters —
-//! is imported from here instead of `parking_lot`/`std::sync` directly, so
-//! one compile-time switch swaps the whole protocol onto the loom model
-//! checker:
+//! and segment locks, the shared segment handles, key and maintenance
+//! counters — is imported from here instead of `parking_lot`/`std::sync`
+//! directly, so one compile-time switch swaps the whole protocol onto the
+//! loom model checker:
 //!
 //! * default build: `parking_lot` locks and `std` atomics (identical to
 //!   the pre-facade code, zero overhead);
@@ -17,7 +17,7 @@
 //! silently opts the code out of model checking.
 
 #[cfg(not(loom))]
-pub use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+pub use parking_lot::RwLock;
 #[cfg(not(loom))]
 pub use std::sync::atomic;
 #[cfg(not(loom))]
@@ -26,4 +26,4 @@ pub use std::sync::Arc;
 #[cfg(loom)]
 pub use loom::sync::atomic;
 #[cfg(loom)]
-pub use loom::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
+pub use loom::sync::{Arc, RwLock};

@@ -10,14 +10,10 @@
 //! |---|---|
 //! | `insert_vs_split` | concurrent insert while another insert splits the segment and doubles the directory |
 //! | `get_vs_directory_doubling` | read-path (dir read → segment read) racing structural surgery under the dir write lock |
+//! | `get_vs_remap` | point read (dir read → segment read) racing an in-place `remap_adjust` under the segment write lock |
 //! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`) |
 //! | `counter_dispatch_maintenance_race` | the PR 4 counter fast path: both threads see a full bucket, one repairs, the other must re-check (`bucket_len`) and retry, losing nothing |
 //! | `seeded_torn_counter_is_caught` | non-vacuity: a deliberately broken insert (torn counter update outside the lock) must produce a counterexample |
-//! | `optimistic_get_vs_split` | lock-free read (snapshot → version → `try_read` → revalidate) racing segment split + directory doubling |
-//! | `optimistic_get_vs_doubling` | both stable keys read optimistically while the directory doubles under the writer |
-//! | `optimistic_get_vs_remap` | optimistic read racing an in-place `remap_adjust` inside the slot's version-bump window |
-//! | `epoch_defers_frees_while_pinned` | garbage retired after a reader pins is never freed while the pin is held |
-//! | `seeded_use_after_retire_is_caught` | non-vacuity: `collect_ignoring_pins` (a deliberately broken collector) frees under a live pin and the model catches it |
 //!
 //! Keyspace: `K(i) = i << 40` with 1 first-level bit and 2-entry buckets,
 //! chosen (see the maintenance-trigger sweep in the PR introducing this
@@ -170,58 +166,13 @@ fn counter_dispatch_maintenance_race() {
     });
 }
 
-/// Optimistic read racing split + directory doubling: the reader goes
-/// snapshot → version precheck → `try_read` → probe → revalidate, possibly
-/// landing on a retired pre-split segment or losing `try_read` to the
-/// writer, and must either see consistent data or retry into the locked
-/// fallback. Stable keys stay visible and phantoms stay absent in every
-/// interleaving.
+/// Point read racing an in-place `remap_adjust`: the remap rebuilds the
+/// segment's bucket array under its write lock while the reader holds the
+/// directory read lock and waits for the segment read lock. Both stable
+/// keys must be found in every interleaving.
 #[test]
-fn optimistic_get_vs_split() {
-    model("optimistic_get_vs_split", || {
-        let idx = prefilled(2);
-        let t = {
-            let idx = Arc::clone(&idx);
-            loom::thread::spawn(move || idx.insert(key(2), 2))
-        };
-        assert_eq!(idx.get(key(0)), Some(0), "reader lost a stable key");
-        assert_eq!(idx.get(key(7)), None, "phantom key");
-        t.join().expect("writer");
-        let stats = idx.maintenance_stats();
-        assert!(stats.splits >= 1, "split never exercised: {stats:?}");
-        assert_eq!(idx.len(), 3);
-        idx.audit().assert_clean();
-    });
-}
-
-/// Both stable keys read optimistically while the directory doubles: after
-/// doubling the snapshot is republished (generation bump + epoch retire of
-/// the old one), so the reader exercises both the pre- and post-publish
-/// snapshot depending on the schedule.
-#[test]
-fn optimistic_get_vs_doubling() {
-    model("optimistic_get_vs_doubling", || {
-        let idx = prefilled(2);
-        let t = {
-            let idx = Arc::clone(&idx);
-            loom::thread::spawn(move || idx.insert(key(2), 2))
-        };
-        assert_eq!(idx.get(key(1)), Some(1), "reader lost a stable key");
-        t.join().expect("writer");
-        let stats = idx.maintenance_stats();
-        assert!(stats.doublings >= 1, "doubling never exercised: {stats:?}");
-        assert_eq!(idx.len(), 3);
-        idx.audit().assert_clean();
-    });
-}
-
-/// Optimistic read racing an in-place `remap_adjust`: the remap mutates the
-/// segment under its write lock with the version odd, which is exactly the
-/// window the seqlock validation must detect (precheck, failed `try_read`,
-/// or post-probe version mismatch).
-#[test]
-fn optimistic_get_vs_remap() {
-    model("optimistic_get_vs_remap", || {
+fn get_vs_remap() {
+    model("get_vs_remap", || {
         let idx = prefilled(6);
         let remaps_before = idx.maintenance_stats().remaps;
         let t = {
@@ -238,91 +189,6 @@ fn optimistic_get_vs_remap() {
         assert_eq!(idx.len(), 7);
         idx.audit().assert_clean();
     });
-}
-
-/// Epoch-reclamation safety: garbage retired while a reader holds a pin
-/// must stay unfreed until the pin drops. The retire stamp is the global
-/// epoch at retire time, which is `>=` the reader's pinned epoch, so
-/// `collect` must retain it in every interleaving; after the pin drops a
-/// final collect must free it.
-#[test]
-fn epoch_defers_frees_while_pinned() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    struct SetOnDrop(std::sync::Arc<AtomicBool>);
-    impl Drop for SetOnDrop {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
-    model("epoch_defers_frees_while_pinned", || {
-        let c = Arc::new(dytis::epoch::Collector::new());
-        let freed = std::sync::Arc::new(AtomicBool::new(false));
-        let guard = c.pin().expect("fresh collector has free slots");
-        let t = {
-            let c = Arc::clone(&c);
-            let freed = std::sync::Arc::clone(&freed);
-            loom::thread::spawn(move || {
-                c.retire(Box::new(SetOnDrop(freed)));
-                c.collect();
-            })
-        };
-        assert!(
-            !freed.load(Ordering::SeqCst),
-            "garbage freed under a live pin (use-after-retire window)"
-        );
-        t.join().expect("retirer");
-        assert!(
-            !freed.load(Ordering::SeqCst),
-            "garbage freed under a live pin (use-after-retire window)"
-        );
-        drop(guard);
-        c.collect();
-        assert!(freed.load(Ordering::SeqCst), "garbage leaked after unpin");
-    });
-}
-
-/// Non-vacuity for the epoch model: a deliberately broken collector
-/// (`collect_ignoring_pins` frees regardless of live pins) must produce a
-/// schedule where the freed flag flips under the pin — the exact
-/// use-after-retire the real `collect` is proven to prevent above.
-#[test]
-fn seeded_use_after_retire_is_caught() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    struct SetOnDrop(std::sync::Arc<AtomicBool>);
-    impl Drop for SetOnDrop {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        loom::model(|| {
-            let c = Arc::new(dytis::epoch::Collector::new());
-            let freed = std::sync::Arc::new(AtomicBool::new(false));
-            let guard = c.pin().expect("fresh collector has free slots");
-            let t = {
-                let c = Arc::clone(&c);
-                let freed = std::sync::Arc::clone(&freed);
-                loom::thread::spawn(move || {
-                    c.retire(Box::new(SetOnDrop(freed)));
-                    c.collect_ignoring_pins();
-                })
-            };
-            t.join().expect("retirer");
-            assert!(
-                !freed.load(Ordering::SeqCst),
-                "garbage freed under a live pin (use-after-retire window)"
-            );
-            drop(guard);
-        });
-    }));
-    assert!(
-        result.is_err(),
-        "loom failed to catch the seeded use-after-retire bug — the epoch model is vacuous"
-    );
 }
 
 /// Non-vacuity: the deliberately broken insert (torn counter update after

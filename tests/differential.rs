@@ -17,7 +17,7 @@
 use dytis_repro::alex_index::Alex;
 use dytis_repro::dytis::{ConcurrentDyTis, DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
-use dytis_repro::index_traits::{Auditable, Key, KvIndex, Value};
+use dytis_repro::index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, KvIndex, Value};
 use dytis_repro::kvstore::{DurabilityOptions, DurableShardedStore};
 use dytis_repro::lipp::Lipp;
 use dytis_repro::stx_btree::BPlusTree;
@@ -192,6 +192,48 @@ fn differential<I: KvIndex + Auditable>(build: impl Fn() -> I, scans: bool) {
 fn differential_dytis_small_params() {
     // Small params force splits/expansions/remaps/doublings inside the trace.
     differential(|| DyTis::with_params(Params::small()), true);
+}
+
+/// `ConcurrentDyTis` driven from one thread through the same seeded
+/// traces: the `&self` index behind a `&mut self` facade.
+struct SingleThreaded(ConcurrentDyTis);
+
+impl KvIndex for SingleThreaded {
+    fn insert(&mut self, key: Key, value: Value) {
+        ConcurrentKvIndex::insert(&self.0, key, value);
+    }
+    fn get(&self, key: Key) -> Option<Value> {
+        ConcurrentKvIndex::get(&self.0, key)
+    }
+    fn remove(&mut self, key: Key) -> Option<Value> {
+        ConcurrentKvIndex::remove(&self.0, key)
+    }
+    fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
+        ConcurrentKvIndex::scan(&self.0, start, count, out);
+    }
+    fn len(&self) -> usize {
+        ConcurrentKvIndex::len(&self.0)
+    }
+    fn name(&self) -> &'static str {
+        ConcurrentKvIndex::name(&self.0)
+    }
+    fn memory_bytes(&self) -> usize {
+        0 // The concurrent index keeps no footprint accounting.
+    }
+}
+
+impl Auditable for SingleThreaded {
+    fn audit(&self) -> AuditReport {
+        self.0.audit()
+    }
+}
+
+#[test]
+fn differential_concurrent_dytis_small_params() {
+    differential(
+        || SingleThreaded(ConcurrentDyTis::with_params(Params::small())),
+        true,
+    );
 }
 
 #[test]
@@ -419,198 +461,119 @@ fn differential_dytis_bulk_load() {
     }
 }
 
-/// Read-hammer differential: reader threads race the optimistic read path
+/// Read-hammer differential: reader threads race the §3.4 read path
 /// (DESIGN.md §14) against a `BTreeMap` oracle of *stable* keys while a
 /// writer drives splits/doublings/remaps at `Params::small()` geometry.
 /// Stable keys are odd, writer keys even, so reader lookups have exact
 /// expected answers mid-churn. Readers also scan and check sortedness,
 /// value fidelity of every stable pair returned, and completeness of the
-/// stable population over the covered range. Non-vacuity: across the
-/// hammer rounds the optimistic machinery must actually have retried
-/// (`read_stats().retries`) and maintenance must have retired directory
-/// snapshots through the epoch collector (`epoch_stats().deferred`).
+/// stable population over the covered range. Non-vacuity: the writer
+/// starts only once every reader runs, and the maintenance it fired
+/// before the readers stopped must include a split and a doubling.
 #[test]
 fn differential_concurrent_read_hammer() {
-    use dytis_repro::index_traits::ConcurrentKvIndex;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     const READERS: usize = 3;
     const STABLE: u64 = 4_000;
-    const WRITER_OPS: u64 = if cfg!(debug_assertions) {
-        10_000
-    } else {
-        40_000
-    };
+    const WRITER_OPS: u64 = 40_000;
     const SCAN_LEN: usize = 32;
 
-    let mut total_retries = 0u64;
-    for round in 0..5 {
-        let idx = Arc::new(ConcurrentDyTis::with_params(Params::small()));
-        let mut stable: BTreeMap<Key, Value> = BTreeMap::new();
-        for i in 0..STABLE {
-            let k = scramble(i) | 1;
-            idx.insert(k, i);
-            stable.insert(k, i);
-        }
-        let stable = Arc::new(stable);
-        let done = Arc::new(AtomicBool::new(false));
-        let writer = {
+    let idx = Arc::new(ConcurrentDyTis::with_params(Params::small()));
+    let mut stable: BTreeMap<Key, Value> = BTreeMap::new();
+    for i in 0..STABLE {
+        let k = scramble(i) | 1;
+        idx.insert(k, i);
+        stable.insert(k, i);
+    }
+    let stable = Arc::new(stable);
+    let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(READERS + 1));
+    let writer = {
+        let idx = Arc::clone(&idx);
+        let done = Arc::clone(&done);
+        let started = Arc::clone(&started);
+        std::thread::spawn(move || {
+            started.wait();
+            let before = idx.maintenance_stats();
+            // Even keys only: disjoint from the stable population. Packed
+            // into the lowest 1/64 of the key space so segments there split
+            // past the global depth; a uniform stream mostly expands.
+            for i in 0..WRITER_OPS {
+                idx.insert((scramble(i ^ 0xABCD_0000) >> 6) & !1, i);
+            }
+            let fired = idx.maintenance_stats().delta_since(&before);
+            done.store(true, Ordering::SeqCst);
+            fired
+        })
+    };
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
             let idx = Arc::clone(&idx);
+            let stable = Arc::clone(&stable);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
-                // Even keys only: disjoint from the stable population.
-                for i in 0..WRITER_OPS {
-                    idx.insert(scramble(i ^ (round << 20) ^ 0xABCD_0000) & !1, i);
-                }
-                done.store(true, Ordering::SeqCst);
-            })
-        };
-        let readers: Vec<_> = (0..READERS)
-            .map(|r| {
-                let idx = Arc::clone(&idx);
-                let stable = Arc::clone(&stable);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let keys: Vec<Key> = stable.keys().copied().collect();
-                    let mut got = Vec::with_capacity(SCAN_LEN);
-                    let mut i = r * 1_013; // stagger the walk per reader
-                    while !done.load(Ordering::SeqCst) {
-                        let k = keys[i % keys.len()];
-                        assert_eq!(
-                            idx.get(k),
-                            stable.get(&k).copied(),
-                            "reader {r}: stable key {k:#x} flickered"
+                let keys: Vec<Key> = stable.keys().copied().collect();
+                let mut got = Vec::with_capacity(SCAN_LEN);
+                let mut i = r * 1_013; // stagger the walk per reader
+                started.wait();
+                while !done.load(Ordering::SeqCst) {
+                    let k = keys[i % keys.len()];
+                    assert_eq!(
+                        idx.get(k),
+                        stable.get(&k).copied(),
+                        "reader {r}: stable key {k:#x} flickered"
+                    );
+                    if i % 64 == 0 {
+                        got.clear();
+                        idx.scan(k, SCAN_LEN, &mut got);
+                        assert!(
+                            got.windows(2).all(|w| w[0].0 < w[1].0),
+                            "reader {r}: scan from {k:#x} unsorted: {got:?}"
                         );
-                        if i % 64 == 0 {
-                            got.clear();
-                            idx.scan(k, SCAN_LEN, &mut got);
-                            assert!(
-                                got.windows(2).all(|w| w[0].0 < w[1].0),
-                                "reader {r}: scan from {k:#x} unsorted: {got:?}"
-                            );
-                            for &(sk, sv) in &got {
-                                if sk & 1 == 1 {
-                                    assert_eq!(
-                                        stable.get(&sk).copied(),
-                                        Some(sv),
-                                        "reader {r}: scan returned corrupt stable pair"
-                                    );
-                                }
-                            }
-                            // Every stable key the scan's range covered
-                            // must be present (writer keys may interleave,
-                            // stable ones may not vanish).
-                            let upper = if got.len() == SCAN_LEN {
-                                got.last().expect("non-empty").0
-                            } else {
-                                u64::MAX
-                            };
-                            for (&sk, _) in stable.range(k..=upper) {
-                                assert!(
-                                    got.binary_search_by_key(&sk, |p| p.0).is_ok(),
-                                    "reader {r}: scan from {k:#x} dropped stable key {sk:#x}"
+                        for &(sk, sv) in &got {
+                            if sk & 1 == 1 {
+                                assert_eq!(
+                                    stable.get(&sk).copied(),
+                                    Some(sv),
+                                    "reader {r}: scan returned corrupt stable pair"
                                 );
                             }
                         }
-                        i += 1;
+                        // Every stable key the scan's range covered must be
+                        // present (writer keys may interleave, stable ones
+                        // may not vanish).
+                        let upper = if got.len() == SCAN_LEN {
+                            got.last().expect("non-empty").0
+                        } else {
+                            u64::MAX
+                        };
+                        for (&sk, _) in stable.range(k..=upper) {
+                            assert!(
+                                got.binary_search_by_key(&sk, |p| p.0).is_ok(),
+                                "reader {r}: scan from {k:#x} dropped stable key {sk:#x}"
+                            );
+                        }
                     }
-                })
+                    i += 1;
+                }
             })
-            .collect();
-        writer.join().expect("writer");
-        for r in readers {
-            r.join().unwrap();
-        }
-        // Quiescent sweep: the full stable population, then deep audit
-        // (which includes the epoch-quiescence and snapshot-coherence
-        // checks added with the optimistic read path).
-        for (&k, &v) in stable.iter() {
-            assert_eq!(idx.get(k), Some(v), "stable key {k:#x} lost after hammer");
-        }
-        assert!(
-            idx.epoch_stats().deferred > 0,
-            "maintenance never retired a snapshot through the collector"
-        );
-        idx.audit().assert_clean();
-        total_retries += idx.read_stats().retries;
-        if total_retries > 0 {
-            break; // non-vacuity established; no need for more rounds
-        }
+        })
+        .collect();
+    let fired = writer.join().expect("writer");
+    for r in readers {
+        r.join().unwrap();
     }
     assert!(
-        total_retries > 0,
-        "optimistic readers never observed a concurrent structural op; \
-         the retry path is untested"
+        fired.splits > 0 && fired.doublings > 0,
+        "readers never raced a split and a doubling: {fired:?}"
     );
-}
-
-/// The optimistic hit path must acquire no lock at all: across a
-/// `get`/`scan` storm against a quiescent index, `read_stats().locked` —
-/// which counts every read executed on the locked path — stays flat.  The
-/// differential half checks the answers against a `BTreeMap` oracle;
-/// the non-vacuity half flips `set_locked_reads(true)` and proves the
-/// same counter does move when the locked path actually runs.
-#[test]
-fn differential_coarse_optimistic_reads_take_no_lock() {
-    use dytis_repro::index_traits::ConcurrentKvIndex;
-
-    const KEYS: u64 = 6_000;
-    const SCAN_LEN: usize = 48;
-
-    let idx = ConcurrentDyTis::with_params(Params::small());
-    let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
-    for i in 0..KEYS {
-        let k = scramble(i);
-        idx.insert(k, i);
-        oracle.insert(k, i);
+    // Quiescent sweep: the full stable population, then deep audit.
+    for (&k, &v) in stable.iter() {
+        assert_eq!(idx.get(k), Some(v), "stable key {k:#x} lost after hammer");
     }
-    // Writers quiesced; reset nothing — the counters are cumulative, so
-    // record the watermark before the read storm.
-    let before = idx.read_stats();
-    let keys: Vec<Key> = oracle.keys().copied().collect();
-    let mut got = Vec::with_capacity(SCAN_LEN);
-    for (i, &k) in keys.iter().enumerate() {
-        assert_eq!(idx.get(k), oracle.get(&k).copied(), "get({k:#x}) diverged");
-        assert_eq!(idx.get(k | 1), oracle.get(&(k | 1)).copied());
-        if i % 97 == 0 {
-            got.clear();
-            idx.scan(k, SCAN_LEN, &mut got);
-            let want: Vec<(Key, Value)> = oracle
-                .range(k..)
-                .take(SCAN_LEN)
-                .map(|(&sk, &sv)| (sk, sv))
-                .collect();
-            assert_eq!(got, want, "scan from {k:#x} diverged");
-        }
-    }
-    let after = idx.read_stats();
-    assert_eq!(
-        after.locked,
-        before.locked,
-        "optimistic hit path executed {} reads on the locked (mutex) path",
-        after.locked - before.locked
-    );
-    assert_eq!(
-        after.fallbacks, before.fallbacks,
-        "quiescent reads should never exhaust their retry budget"
-    );
-
-    // Non-vacuity: the counter must actually count when the locked path
-    // is forced, otherwise the zero above proves nothing.
-    idx.set_locked_reads(true);
-    for &k in keys.iter().take(64) {
-        assert_eq!(idx.get(k), oracle.get(&k).copied());
-    }
-    got.clear();
-    idx.scan(keys[0], SCAN_LEN, &mut got);
-    let forced = idx.read_stats();
-    assert!(
-        forced.locked > after.locked,
-        "locked counter never moved even with set_locked_reads(true)"
-    );
-    idx.set_locked_reads(false);
-    assert_eq!(idx.read_stats().locked, forced.locked);
     idx.audit().assert_clean();
 }
 

@@ -165,15 +165,16 @@ fn drift_cceh() {
 /// Drift read-hammer: the writer replays the MM→TX drift stream (keys
 /// forced even) through `ConcurrentDyTis`, so maintenance fires under a
 /// *shifting* distribution, while reader threads hammer a stable odd-key
-/// population through the optimistic read path and compare every lookup
-/// against the oracle. Same non-vacuity bar as `tests/differential.rs`:
-/// retries and deferred frees must be observed.
+/// population through the §3.4 read path and compare every lookup against
+/// the oracle. Same non-vacuity bar as `tests/differential.rs`: the writer
+/// starts once every reader runs, and the maintenance it fired meanwhile
+/// must include a split and a doubling.
 #[test]
 fn drift_concurrent_read_hammer() {
     use dytis_repro::dytis::ConcurrentDyTis;
     use dytis_repro::index_traits::ConcurrentKvIndex;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     const READERS: usize = 3;
     const STABLE: u64 = 4_000;
@@ -182,103 +183,101 @@ fn drift_concurrent_read_hammer() {
         id.wrapping_mul(0x9E3779B97F4A7C15)
     }
 
-    let compiled = Arc::new(compile(&builtin::mm_to_tx_drift(SCALE)));
-    let mut total_retries = 0u64;
-    for _round in 0..5 {
-        let idx = Arc::new(ConcurrentDyTis::with_params(Params::small()));
-        let mut stable: BTreeMap<Key, Value> = BTreeMap::new();
-        for i in 0..STABLE {
-            let k = scramble(i) | 1;
-            idx.insert(k, i);
-            stable.insert(k, i);
-        }
-        let stable = Arc::new(stable);
-        let done = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let idx = Arc::clone(&idx);
-            let done = Arc::clone(&done);
-            let compiled = Arc::clone(&compiled);
-            std::thread::spawn(move || {
-                // Keys forced even: disjoint from the stable population.
-                // No oracle on the writer side — the drift stream only
-                // exists to drive maintenance while readers verify.
-                for &op in &compiled.ops {
-                    match op {
-                        ScenarioOp::Insert(k, v) | ScenarioOp::Update(k, v) => {
-                            idx.insert(k & !1, v);
-                        }
-                        ScenarioOp::Delete(k) => {
-                            idx.remove(k & !1);
-                        }
-                        ScenarioOp::Read(k) => {
-                            idx.get(k & !1);
-                        }
-                        ScenarioOp::Scan(_) => {}
+    // The release-build scale in every build: the debug `SCALE` stream
+    // only remaps, and the non-vacuity bar below needs a split.
+    let compiled = Arc::new(compile(&builtin::mm_to_tx_drift(20_000)));
+    let idx = Arc::new(ConcurrentDyTis::with_params(Params::small()));
+    let mut stable: BTreeMap<Key, Value> = BTreeMap::new();
+    for i in 0..STABLE {
+        let k = scramble(i) | 1;
+        idx.insert(k, i);
+        stable.insert(k, i);
+    }
+    let stable = Arc::new(stable);
+    let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(READERS + 1));
+    let writer = {
+        let idx = Arc::clone(&idx);
+        let done = Arc::clone(&done);
+        let started = Arc::clone(&started);
+        let compiled = Arc::clone(&compiled);
+        std::thread::spawn(move || {
+            started.wait();
+            let before = idx.maintenance_stats();
+            // Keys forced even: disjoint from the stable population. No
+            // oracle on the writer side — the drift stream only exists to
+            // drive maintenance while readers verify.
+            for &op in &compiled.ops {
+                match op {
+                    ScenarioOp::Insert(k, v) | ScenarioOp::Update(k, v) => {
+                        idx.insert(k & !1, v);
                     }
+                    ScenarioOp::Delete(k) => {
+                        idx.remove(k & !1);
+                    }
+                    ScenarioOp::Read(k) => {
+                        idx.get(k & !1);
+                    }
+                    ScenarioOp::Scan(_) => {}
                 }
-                done.store(true, Ordering::SeqCst);
-            })
-        };
-        let readers: Vec<_> = (0..READERS)
-            .map(|r| {
-                let idx = Arc::clone(&idx);
-                let stable = Arc::clone(&stable);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let keys: Vec<Key> = stable.keys().copied().collect();
-                    let mut got = Vec::with_capacity(SCAN_COUNT);
-                    let mut i = r * 1_013;
-                    while !done.load(Ordering::SeqCst) {
-                        let k = keys[i % keys.len()];
-                        assert_eq!(
-                            idx.get(k),
-                            stable.get(&k).copied(),
-                            "reader {r}: stable key {k:#x} flickered"
+            }
+            let fired = idx.maintenance_stats().delta_since(&before);
+            done.store(true, Ordering::SeqCst);
+            fired
+        })
+    };
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let idx = Arc::clone(&idx);
+            let stable = Arc::clone(&stable);
+            let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
+            std::thread::spawn(move || {
+                let keys: Vec<Key> = stable.keys().copied().collect();
+                let mut got = Vec::with_capacity(SCAN_COUNT);
+                let mut i = r * 1_013;
+                started.wait();
+                while !done.load(Ordering::SeqCst) {
+                    let k = keys[i % keys.len()];
+                    assert_eq!(
+                        idx.get(k),
+                        stable.get(&k).copied(),
+                        "reader {r}: stable key {k:#x} flickered"
+                    );
+                    if i % 64 == 0 {
+                        got.clear();
+                        idx.scan(k, SCAN_COUNT, &mut got);
+                        assert!(
+                            got.windows(2).all(|w| w[0].0 < w[1].0),
+                            "reader {r}: scan from {k:#x} unsorted"
                         );
-                        if i % 64 == 0 {
-                            got.clear();
-                            idx.scan(k, SCAN_COUNT, &mut got);
-                            assert!(
-                                got.windows(2).all(|w| w[0].0 < w[1].0),
-                                "reader {r}: scan from {k:#x} unsorted"
-                            );
-                            for &(sk, sv) in &got {
-                                if sk & 1 == 1 {
-                                    assert_eq!(
-                                        stable.get(&sk).copied(),
-                                        Some(sv),
-                                        "reader {r}: scan returned corrupt stable pair"
-                                    );
-                                }
+                        for &(sk, sv) in &got {
+                            if sk & 1 == 1 {
+                                assert_eq!(
+                                    stable.get(&sk).copied(),
+                                    Some(sv),
+                                    "reader {r}: scan returned corrupt stable pair"
+                                );
                             }
                         }
-                        i += 1;
                     }
-                })
+                    i += 1;
+                }
             })
-            .collect();
-        writer.join().expect("writer");
-        for r in readers {
-            r.join().unwrap();
-        }
-        for (&k, &v) in stable.iter() {
-            assert_eq!(idx.get(k), Some(v), "stable key {k:#x} lost after hammer");
-        }
-        assert!(
-            idx.epoch_stats().deferred > 0,
-            "maintenance never retired a snapshot through the collector"
-        );
-        idx.audit().assert_clean();
-        total_retries += idx.read_stats().retries;
-        if total_retries > 0 {
-            break;
-        }
+        })
+        .collect();
+    let fired = writer.join().expect("writer");
+    for r in readers {
+        r.join().unwrap();
     }
     assert!(
-        total_retries > 0,
-        "optimistic readers never observed a concurrent structural op; \
-         the retry path is untested"
+        fired.splits > 0 && fired.doublings > 0,
+        "readers never raced a split and a doubling: {fired:?}"
     );
+    for (&k, &v) in stable.iter() {
+        assert_eq!(idx.get(k), Some(v), "stable key {k:#x} lost after hammer");
+    }
+    idx.audit().assert_clean();
 }
 
 /// The drift acceptance bar, as a test: the MM→TX drift scenario must fire

@@ -43,12 +43,12 @@ pub enum FileClass {
 
 /// One preprocessed source file, shared by every rule.
 pub struct SourceFile {
-    /// Workspace-relative path, used in diagnostics.
+    /// Workspace-relative path, used in diagnostics and by file-scoped
+    /// policies (the `unsafe` allowlist).
     pub rel_path: String,
     /// The `crates/<name>` directory component (`"core"`, `"durability"`,
     /// …) or `"workspace"` for files outside `crates/`. Rules use this for
-    /// crate-scoped policies (the SIMD `unsafe` allowlist, cast checks in
-    /// durability framing).
+    /// crate-scoped policies (cast checks in durability framing).
     pub crate_dir: String,
     pub class: FileClass,
     pub raw_lines: Vec<String>,

@@ -14,9 +14,11 @@ use xtask::lint::rules::{
 };
 use xtask::lint::{FileClass, ManifestRule, Rule, SourceFile};
 
-/// Lints `src` as library code of `crates/<crate_dir>` with one rule.
-fn run_rule(rule: &dyn Rule, crate_dir: &str, src: &str) -> Vec<String> {
-    let file = SourceFile::parse("fixture.rs", crate_dir, FileClass::Library, src);
+/// Lints `src` as the library file at workspace-relative `path`
+/// (`crates/<crate_dir>/src/...`) with one rule.
+fn run_rule(rule: &dyn Rule, path: &str, src: &str) -> Vec<String> {
+    let crate_dir = path.split('/').nth(1).expect("path under crates/");
+    let file = SourceFile::parse(path, crate_dir, FileClass::Library, src);
     assert!(
         rule.applies(&file),
         "{} skipped its own fixture",
@@ -27,8 +29,8 @@ fn run_rule(rule: &dyn Rule, crate_dir: &str, src: &str) -> Vec<String> {
     findings
 }
 
-fn assert_flags(rule: &dyn Rule, crate_dir: &str, src: &str) {
-    let findings = run_rule(rule, crate_dir, src);
+fn assert_flags(rule: &dyn Rule, path: &str, src: &str) {
+    let findings = run_rule(rule, path, src);
     assert!(
         !findings.is_empty(),
         "{}: seeded violation not flagged — rule is vacuous",
@@ -42,8 +44,8 @@ fn assert_flags(rule: &dyn Rule, crate_dir: &str, src: &str) {
     }
 }
 
-fn assert_clean(rule: &dyn Rule, crate_dir: &str, src: &str) {
-    let findings = run_rule(rule, crate_dir, src);
+fn assert_clean(rule: &dyn Rule, path: &str, src: &str) {
+    let findings = run_rule(rule, path, src);
     assert!(
         findings.is_empty(),
         "{}: clean fixture flagged: {findings:?}",
@@ -56,12 +58,12 @@ fn lock_across_io_fixtures() {
     let rule = LockAcrossIo;
     assert_flags(
         &rule,
-        "kvstore",
+        "crates/kvstore/src/fixture.rs",
         include_str!("fixtures/lock_across_io_bad.rs"),
     );
     assert_clean(
         &rule,
-        "kvstore",
+        "crates/kvstore/src/fixture.rs",
         include_str!("fixtures/lock_across_io_ok.rs"),
     );
 }
@@ -71,12 +73,12 @@ fn fsync_before_rename_fixtures() {
     let rule = FsyncBeforeRename;
     assert_flags(
         &rule,
-        "kvstore",
+        "crates/kvstore/src/fixture.rs",
         include_str!("fixtures/fsync_before_rename_bad.rs"),
     );
     assert_clean(
         &rule,
-        "kvstore",
+        "crates/kvstore/src/fixture.rs",
         include_str!("fixtures/fsync_before_rename_ok.rs"),
     );
 }
@@ -84,18 +86,21 @@ fn fsync_before_rename_fixtures() {
 #[test]
 fn unsafe_blocks_fixtures() {
     let rule = UnsafeBlocks;
-    // Unjustified unsafe is flagged even in the allowlisted crate.
-    assert_flags(&rule, "core", include_str!("fixtures/unsafe_blocks_bad.rs"));
-    // The justified variant passes only where the allowlist permits it …
-    assert_clean(&rule, "core", include_str!("fixtures/unsafe_blocks_ok.rs"));
-    // … in kvstore too (the reactor's sanctioned FFI boundary) …
-    assert_clean(
+    let ok = include_str!("fixtures/unsafe_blocks_ok.rs");
+    // Unjustified unsafe is flagged even in an allowlisted file.
+    assert_flags(
         &rule,
-        "kvstore",
-        include_str!("fixtures/unsafe_blocks_ok.rs"),
+        "crates/core/src/simd.rs",
+        include_str!("fixtures/unsafe_blocks_bad.rs"),
     );
-    // … and stays flagged everywhere else, justification or not.
-    assert_flags(&rule, "bench", include_str!("fixtures/unsafe_blocks_ok.rs"));
+    // The justified variant passes only in the two allowlisted files …
+    assert_clean(&rule, "crates/core/src/simd.rs", ok);
+    assert_clean(&rule, "crates/kvstore/src/reactor.rs", ok);
+    // … and stays flagged everywhere else, justification or not — other
+    // files of the same crates included.
+    assert_flags(&rule, "crates/core/src/concurrent.rs", ok);
+    assert_flags(&rule, "crates/kvstore/src/tpc.rs", ok);
+    assert_flags(&rule, "crates/bench/src/lib.rs", ok);
 }
 
 #[test]
@@ -103,12 +108,12 @@ fn truncating_casts_fixtures() {
     let rule = TruncatingCasts;
     assert_flags(
         &rule,
-        "durability",
+        "crates/durability/src/fixture.rs",
         include_str!("fixtures/truncating_casts_bad.rs"),
     );
     assert_clean(
         &rule,
-        "durability",
+        "crates/durability/src/fixture.rs",
         include_str!("fixtures/truncating_casts_ok.rs"),
     );
     // Outside the durability crate the rule does not apply at all.
@@ -126,12 +131,12 @@ fn unbounded_retry_fixtures() {
     let rule = UnboundedRetry;
     assert_flags(
         &rule,
-        "core",
+        "crates/core/src/fixture.rs",
         include_str!("fixtures/unbounded_retry_bad.rs"),
     );
     assert_clean(
         &rule,
-        "core",
+        "crates/core/src/fixture.rs",
         include_str!("fixtures/unbounded_retry_ok.rs"),
     );
 }
@@ -144,12 +149,12 @@ fn seqlock_validate_fixtures() {
     let rule = UnboundedRetry;
     assert_flags(
         &rule,
-        "core",
+        "crates/core/src/fixture.rs",
         include_str!("fixtures/seqlock_validate_bad.rs"),
     );
     assert_clean(
         &rule,
-        "core",
+        "crates/core/src/fixture.rs",
         include_str!("fixtures/seqlock_validate_ok.rs"),
     );
 }
