@@ -11,10 +11,9 @@
 //!   keys the remapping function maps to it;
 //! * per-segment and per-table key counts add up.
 //!
-//! Directory-level checks (alignment, coverage, sibling links) are
-//! implemented next to each of the two directory representations (`eh.rs`,
-//! `concurrent.rs`) because the field layouts differ; they report through
-//! the same [`AuditReport`].
+//! Directory-level checks (size, alignment, coverage, key ranges and
+//! order across segments) are the shared `Directory::audit`
+//! (`directory.rs`), which calls [`audit_segment`] on every segment.
 
 use crate::params::Params;
 use crate::remap::mask64;
@@ -206,7 +205,7 @@ impl Auditable for DyTis {
         });
         let mut total = 0usize;
         for (t, table) in self.tables.iter().enumerate() {
-            table.audit_into(&self.params, t, &mut report);
+            table.audit_into(Some(&self.params), t, &mut report);
             total += table.len();
         }
         report.check(total == self.num_keys, "index-key-count", || {

@@ -2,10 +2,12 @@
 //! per-segment reader/writer locks (DESIGN.md §14).
 //!
 //! [`ConcurrentDyTis`] owns the per-table directory lock, the reader/writer
-//! lock around every segment, the insert retry loop, split / doubling
-//! installation, the counters and the audit. Algorithm 1's remap / expand /
-//! split decision is [`Segment::repair_in_place`], shared with the
-//! single-threaded [`crate::DyTis`]; this module only adds its bookkeeping.
+//! lock around every segment, the insert retry loop and the latches around
+//! split / doubling installation. The directory itself (index, doubling,
+//! split install, the §3.3 limit decision, scan step, audit, maintenance
+//! record) is the `Directory` shared with the single-threaded
+//! [`crate::DyTis`], and Algorithm 1's remap / expand / split decision is
+//! its [`Segment::repair_in_place`]; this module only adds the latches.
 //!
 //! Every operation takes the two levels in the same order: a high-level
 //! lock on the table's directory array, then a low-level reader/writer
@@ -18,66 +20,35 @@
 //!
 //! Every segment-lock holder also holds its table's directory lock, so a
 //! directory write-lock holder never waits on a segment lock and no lock
-//! cycle can form. Scans walk the directory in key order (equivalent to
-//! the single-threaded sibling pointers) under the directory read lock,
-//! one segment read lock at a time.
+//! cycle can form. Scans walk the directory in key order, span by span,
+//! under the directory read lock, one segment read lock at a time.
 
+use crate::directory::Directory;
 use crate::params::Params;
 use crate::remap::mask64;
-use crate::segment::{adaptive_limit_mult, BucketUpsert, Repair, Segment};
+use crate::segment::{BucketUpsert, Repair, Segment, MAX_INSERT_STEPS};
+use crate::stats::{DytisStats, Maint};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, RwLock};
 use index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, Value};
+use std::time::Instant;
 
 /// Index and audit-report name.
 const NAME: &str = "DyTIS (concurrent)";
 
-/// Audit invariant ID of the key accounting, named once so the
-/// seeded-corruption test cannot drift from the audit.
-const TABLE_KEY_COUNT: &str = "table-key-count";
-
-/// Directory index of sub-key `sk` at `global_depth`.
-#[inline]
-fn dir_index(global_depth: u32, sk: u64, m_total: u32) -> usize {
-    (sk >> (m_total - global_depth)) as usize
-}
-
-/// Directory of one concurrent EH table.
-struct Dir {
-    global_depth: u32,
-    entries: Vec<Arc<RwLock<Segment>>>,
-    /// Active segment-size limit multiplier (adaptive, §3.3).
-    active_limit_mult: u32,
-    limit_decided: bool,
-}
-
-/// One concurrent EH table: directory lock + per-segment locks + its
-/// maintenance counters.
+/// One concurrent EH table: the shared directory behind its lock, plus the
+/// key count.
 struct Table {
-    dir: RwLock<Dir>,
+    dir: RwLock<Directory<Arc<RwLock<Segment>>>>,
     num_keys: AtomicUsize,
-    splits: AtomicU64,
-    expansions: AtomicU64,
-    remaps: AtomicU64,
-    doublings: AtomicU64,
-    shrinks: AtomicU64,
 }
 
 impl Table {
-    fn new(limit_mult: u32) -> Self {
+    fn new(m_total: u32, params: &Params) -> Self {
+        let first = Arc::new(RwLock::new(Segment::new(0)));
         Table {
-            dir: RwLock::new(Dir {
-                global_depth: 0,
-                entries: vec![Arc::new(RwLock::new(Segment::new(0)))],
-                active_limit_mult: limit_mult,
-                limit_decided: false,
-            }),
+            dir: RwLock::new(Directory::new(m_total, first, params)),
             num_keys: AtomicUsize::new(0),
-            splits: AtomicU64::new(0),
-            expansions: AtomicU64::new(0),
-            remaps: AtomicU64::new(0),
-            doublings: AtomicU64::new(0),
-            shrinks: AtomicU64::new(0),
         }
     }
 
@@ -130,7 +101,7 @@ impl ConcurrentDyTis {
         let r = params.first_level_bits;
         assert!((1..=16).contains(&r));
         let tables = (0..(1usize << r))
-            .map(|_| Table::new(params.limit_mult))
+            .map(|_| Table::new(64 - r, &params))
             .collect();
         ConcurrentDyTis {
             params,
@@ -140,27 +111,23 @@ impl ConcurrentDyTis {
         }
     }
 
-    /// Totals of the structural maintenance operations performed so far
-    /// (splits, segment expansions, remaps, directory doublings, shrinks),
-    /// summed over all first-level tables.  Exact once writers have
-    /// quiesced.  `keys_moved` is not tracked by the concurrent index and
-    /// reads 0.
-    pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
-        let mut s = index_traits::MaintenanceStats::default();
+    /// The maintenance record summed over all first-level tables —
+    /// operation counts, keys moved and per-operation time, as
+    /// [`crate::DyTis::stats`] reports them. Exact once writers have
+    /// quiesced.
+    pub fn stats(&self) -> DytisStats {
+        let mut acc = DytisStats::default();
         for t in &self.tables {
-            // relaxed: monotonic advisory counters; exact totals are only
-            // required after the writing threads have been joined.
-            s.splits += t.splits.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.expansions += t.expansions.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.remaps += t.remaps.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.doublings += t.doublings.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.shrinks += t.shrinks.load(Ordering::Relaxed);
+            acc.merge(&t.dir.read().record.snapshot());
         }
-        s
+        acc
+    }
+
+    /// Totals of the structural maintenance operations performed so far
+    /// (splits, segment expansions, remaps, directory doublings, shrinks,
+    /// keys moved): [`ConcurrentDyTis::stats`] without the times.
+    pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
+        self.stats().ops
     }
 
     /// Times an insert had to retry through the slow path (see field doc).
@@ -184,54 +151,12 @@ impl ConcurrentDyTis {
         seg.bucket_of(seg.local_key(sk, self.m_total), self.m_total)
     }
 
-    /// Appends `seg`'s pairs to `out` until it holds `count`, from the
-    /// first key `>= start.1` (sub-key `start.0`) or from the first bucket
-    /// when `start` is `None`. Returns `true` once `count` is reached.
-    fn walk_segment(
-        &self,
-        seg: &Segment,
-        start: Option<(u64, Key)>,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        let (b, slot) = start.map_or((0, 0), |(sk, key)| {
-            let b = self.bucket_of(seg, sk);
-            (b, seg.buckets[b].lower_bound(key))
-        });
-        seg.walk_from(b, slot, count, out).is_some()
-    }
-
-    /// Runs Algorithm 1's in-place step ([`Segment::repair_in_place`]) on
-    /// a segment whose bucket for `sk` is full, and counts what it did.
-    /// Returns `false` when the fix is a split (preceded by directory
-    /// doubling when `LD == GD`), which needs the directory write lock.
-    fn try_repair(&self, table: &Table, seg: &mut Segment, sk: u64, dir: &Dir) -> bool {
-        let p = &self.params;
-        let k = seg.local_key(sk, self.m_total);
-        let cap_buckets = p.segment_cap(seg.local_depth, dir.active_limit_mult);
-        match seg.repair_in_place(k, dir.global_depth, self.m_total, cap_buckets, p) {
-            Repair::NeedsSplit => return false,
-            Repair::Expanded => {
-                // relaxed: monotonic stats counter; every increment happens
-                // under a directory lock and the limit decision reads it under
-                // the directory write lock (see `split_install`).
-                table.expansions.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("cdytis.expand").inc();
-            }
-            Repair::Remapped => {
-                // relaxed: see the expansion counter above.
-                table.remaps.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("cdytis.remap").inc();
-            }
-        }
-        true
-    }
-
-    /// Slow path: performs one structural step under the directory write
-    /// lock, then returns so the fast path can retry.
+    /// Slow path: one structural step under the directory write lock —
+    /// doubling the directory when the victim is at global depth, then
+    /// splitting it — and returns so the fast path can retry.
     fn maintain(&self, table: &Table, sk: u64) {
         let mut dir = table.dir.write();
-        let victim = Arc::clone(&dir.entries[dir_index(dir.global_depth, sk, self.m_total)]);
+        let victim = Arc::clone(dir.entry(sk));
         // Every segment-lock holder also holds the directory lock, so this
         // acquisition never blocks.
         let seg = victim.write();
@@ -240,50 +165,16 @@ impl ConcurrentDyTis {
         }
         // The fast path already ran Algorithm 1 on this segment and found
         // no in-place repair.
-        self.split_install(table, &mut dir, &seg, sk);
-    }
-
-    /// Doubles the directory if `victim` is at global depth, splits it and
-    /// installs the halves. Caller holds the directory write lock (`dir`)
-    /// and `victim`'s write lock.
-    fn split_install(&self, table: &Table, dir: &mut Dir, victim: &Segment, sk: u64) {
         let p = &self.params;
-        let ld = victim.local_depth;
-        if ld == dir.global_depth {
-            // Adaptive limit decision at doubling time (GD only grows here).
-            if !dir.limit_decided && dir.global_depth + 1 >= p.l_start + 2 {
-                dir.limit_decided = true;
-                // relaxed: every increment happened under a directory
-                // lock, so holding the write lock here orders all of them
-                // before these loads; the counters need no own ordering.
-                let expansions = table.expansions.load(Ordering::Relaxed);
-                // relaxed: same reasoning as the load above.
-                let splits = table.splits.load(Ordering::Relaxed);
-                // relaxed: same reasoning as the load above.
-                let remaps = table.remaps.load(Ordering::Relaxed);
-                dir.active_limit_mult = adaptive_limit_mult(splits, expansions, remaps, p);
-            }
-            dir.entries = dir
-                .entries
-                .iter()
-                .flat_map(|e| [Arc::clone(e), Arc::clone(e)])
-                .collect();
-            dir.global_depth += 1;
-            // relaxed: monotonic stats counter, bumped under the directory
-            // write lock.
-            table.doublings.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.double").inc();
+        if seg.local_depth == dir.global_depth() {
+            dir.double(p);
         }
-        // Split the segment (now LD < GD) into two fresh segments.
-        let (left, right) = victim.split(self.m_total, p);
-        let span = 1usize << (dir.global_depth - (ld + 1));
-        let base = dir_index(dir.global_depth, sk, self.m_total) & !(span * 2 - 1);
-        dir.entries[base..base + span].fill(Arc::new(RwLock::new(left)));
-        dir.entries[base + span..base + 2 * span].fill(Arc::new(RwLock::new(right)));
-        // relaxed: monotonic stats counter, bumped under the directory
-        // write lock (see the limit decision above).
-        table.splits.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("cdytis.split").inc();
+        let t0 = Instant::now();
+        let (left, right) = seg.split(self.m_total, p);
+        let (left, right) = (Arc::new(RwLock::new(left)), Arc::new(RwLock::new(right)));
+        let idx = dir.index(sk);
+        dir.install_split(idx, seg.local_depth, left, right);
+        dir.record.note(Maint::Split, seg.num_keys as u64, t0);
     }
 
     /// Scans one table from `start` (or from its first key when `None`)
@@ -299,18 +190,17 @@ impl ConcurrentDyTis {
         if table.keys() == 0 {
             return out.len() >= count;
         }
-        let gd = dir.global_depth;
-        let mut idx = start.map_or(0, |(sk, _)| dir_index(gd, sk, self.m_total));
+        let mut idx = start.map_or(0, |(sk, _)| dir.index(sk));
         let mut first = start;
-        while idx < dir.entries.len() {
-            let seg = dir.entries[idx].read();
-            if self.walk_segment(&seg, first.take(), count, out) {
+        while idx < dir.entries().len() {
+            let seg = dir.entries()[idx].read();
+            let (b, slot) = first
+                .take()
+                .map_or((0, 0), |(sk, key)| seg.seek(sk, key, self.m_total));
+            if seg.walk_from(b, slot, count, out).is_some() {
                 return true;
             }
-            // Align to the segment's first directory entry so each segment
-            // is visited once.
-            let span = 1usize << (gd - seg.local_depth);
-            idx = (idx & !(span - 1)) + span;
+            idx = dir.next_index(idx, seg.local_depth);
         }
         out.len() >= count
     }
@@ -332,7 +222,7 @@ impl ConcurrentDyTis {
         let sk = self.sub_key(key);
         let inserted = {
             let dir = table.dir.read();
-            let mut seg = dir.entries[dir_index(dir.global_depth, sk, self.m_total)].write();
+            let mut seg = dir.entry(sk).write();
             let b = self.bucket_of(&seg, sk);
             match seg.upsert_in_bucket(b, key, value, self.params.bucket_entries) {
                 BucketUpsert::Inserted => true,
@@ -360,13 +250,20 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
     fn insert(&self, key: Key, value: Value) {
         let table = &self.tables[self.table_of(key)];
         let sk = self.sub_key(key);
-        let mut attempts = 0u32;
+        let p = &self.params;
+        let mut steps = 0u32;
         loop {
+            steps += 1;
+            assert!(
+                steps < MAX_INSERT_STEPS,
+                "concurrent insert failed to converge"
+            );
             let repaired = {
                 let dir = table.dir.read();
-                let mut seg = dir.entries[dir_index(dir.global_depth, sk, self.m_total)].write();
-                let b = self.bucket_of(&seg, sk);
-                match seg.upsert_in_bucket(b, key, value, self.params.bucket_entries) {
+                let mut seg = dir.entry(sk).write();
+                let k = seg.local_key(sk, self.m_total);
+                let b = seg.bucket_of(k, self.m_total);
+                match seg.upsert_in_bucket(b, key, value, p.bucket_entries) {
                     BucketUpsert::Updated => return,
                     BucketUpsert::Inserted => {
                         table.key_added();
@@ -376,14 +273,16 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
                     // this segment object's contents, so they are legal under
                     // the directory read lock + segment write lock held here;
                     // splits and doubling need the directory write lock.
-                    BucketUpsert::Full => self.try_repair(table, &mut seg, sk, &dir),
+                    BucketUpsert::Full => {
+                        let (gd, cap) = (dir.global_depth(), dir.segment_cap(seg.local_depth, p));
+                        let repair = seg.repair_in_place(k, gd, self.m_total, cap, p, &dir.record);
+                        repair != Repair::NeedsSplit
+                    }
                 }
             };
             if repaired {
                 continue; // Repairs strictly grow the bucket's capacity share.
             }
-            attempts += 1;
-            assert!(attempts < 10_000, "concurrent insert failed to converge");
             // relaxed: monotonic advisory counter (lock-acquisition retries).
             self.insert_retries.fetch_add(1, Ordering::Relaxed);
             obs::counter!("cdytis.insert_retries").inc();
@@ -395,7 +294,7 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
         let table = &self.tables[self.table_of(key)];
         let sk = self.sub_key(key);
         let dir = table.dir.read();
-        let seg = dir.entries[dir_index(dir.global_depth, sk, self.m_total)].read();
+        let seg = dir.entry(sk).read();
         seg.get(sk, key, self.m_total, &self.params)
     }
 
@@ -403,20 +302,13 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
         let table = &self.tables[self.table_of(key)];
         let sk = self.sub_key(key);
         let dir = table.dir.read();
-        let mut seg = dir.entries[dir_index(dir.global_depth, sk, self.m_total)].write();
+        let mut seg = dir.entry(sk).write();
         let b = self.bucket_of(&seg, sk);
         let v = seg.remove_from_bucket(b, key)?;
         table.key_removed();
         // Deletion merge (§3.3): a shrink only changes the segment object's
         // contents, so the segment write lock suffices (§3.4).
-        if seg.total_buckets() > 1
-            && seg.utilization(&self.params) < self.params.shrink_threshold
-            && seg.shrink(self.m_total, &self.params)
-        {
-            // relaxed: monotonic stats counter, read after quiescence.
-            table.shrinks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.shrink").inc();
-        }
+        seg.shrink_if_sparse(self.m_total, &self.params, &dir.record);
         Some(v)
     }
 
@@ -451,85 +343,8 @@ impl Auditable for ConcurrentDyTis {
         let mut report = AuditReport::new(NAME);
         for (t, table) in self.tables.iter().enumerate() {
             let dir = table.dir.read();
-            let gd = dir.global_depth;
-            report.check(dir.entries.len() == 1usize << gd, "dir-size", || {
-                (
-                    format!("table {t}"),
-                    format!("directory has {} entries at GD {gd}", dir.entries.len()),
-                )
-            });
-            let mut total = 0usize;
-            let mut last_key: Option<Key> = None;
-            let mut idx = 0usize;
-            while idx < dir.entries.len() {
-                let entry = &dir.entries[idx];
-                let seg = entry.read();
-                let ld = seg.local_depth;
-                if !report.check(ld <= gd, "local-depth", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("local_depth {ld} exceeds global_depth {gd}"),
-                    )
-                }) {
-                    idx += 1;
-                    continue;
-                }
-                let span = 1usize << (gd - ld);
-                report.check(idx.is_multiple_of(span), "dir-alignment", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("segment (span {span}) starts unaligned"),
-                    )
-                });
-                let end = (idx + span).min(dir.entries.len());
-                report.check(
-                    dir.entries[idx..end].iter().all(|e| Arc::ptr_eq(e, entry)),
-                    "dir-coverage",
-                    || {
-                        (
-                            format!("table {t} / dir[{idx}..{end}]"),
-                            "span mixes directory targets".into(),
-                        )
-                    },
-                );
-                let loc = format!("table {t} / dir[{idx}]");
-                crate::audit::audit_segment(&seg, self.m_total, &self.params, &loc, &mut report);
-                if let Some((first, last)) = crate::audit::segment_key_bounds(&seg) {
-                    let prefix = (idx / span) as u64;
-                    let shift = self.m_total - ld;
-                    for key in [first, last] {
-                        let sk = key & mask64(self.m_total);
-                        report.check(ld == 0 || sk >> shift == prefix, "key-range", || {
-                            (
-                                loc.clone(),
-                                format!("key {key:#x} outside directory prefix {prefix:#x}"),
-                            )
-                        });
-                    }
-                    report.check(
-                        last_key.is_none_or(|p| p < first),
-                        "table-key-order",
-                        || {
-                            (
-                                loc.clone(),
-                                format!(
-                                    "first key {first:#x} not above previous segment's {last_key:?}"
-                                ),
-                            )
-                        },
-                    );
-                    last_key = Some(last);
-                }
-                total += seg.num_keys;
-                idx += span;
-            }
-            let claimed = table.keys();
-            report.check(total == claimed, TABLE_KEY_COUNT, || {
-                (
-                    format!("table {t}"),
-                    format!("segments hold {total} keys, table claims {claimed}"),
-                )
-            });
+            let keys = Some((&self.params, table.keys()));
+            dir.audit(t, keys, &mut report, Arc::ptr_eq, |e| Some(e.read()));
         }
         report
     }
@@ -538,6 +353,7 @@ impl Auditable for ConcurrentDyTis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::TABLE_KEY_COUNT;
     use std::sync::Arc as StdArc;
 
     const SCRAMBLE: u64 = 0x9E3779B97F4A7C15;
@@ -701,7 +517,7 @@ mod tests {
         let idx = audited();
         {
             let dir = idx.tables[0].dir.read();
-            dir.entries[0].write().num_keys += 1;
+            dir.entries()[0].write().num_keys += 1;
         }
         assert!(violates(&idx, &["segment-key-count", TABLE_KEY_COUNT]));
     }
@@ -778,12 +594,12 @@ mod tests {
         ]
     }
 
-    /// `DyTis` and `ConcurrentDyTis` share Algorithm 1
-    /// (`Segment::repair_in_place`) and the §3.3 limit rule
-    /// (`adaptive_limit_mult`) but keep their own insert loops and their
-    /// own shrink rule: the same stream, then the removal of seven keys in
-    /// eight, must make the same maintenance decisions through both.
-    /// (Removing every other key leaves segments near half full, above
+    /// `DyTis` and `ConcurrentDyTis` share the directory, Algorithm 1
+    /// (`Segment::repair_in_place`), the shrink rule and the maintenance
+    /// record but keep their own insert loops: the same stream, then the
+    /// removal of seven keys in eight, must make the same maintenance
+    /// decisions, and record the same keys moved, through both. (Removing
+    /// every other key leaves segments near half full, above
     /// `shrink_threshold`, and shrinks nothing.)
     #[test]
     fn dytis_and_concurrent_agree_on_maintenance_decisions() {
@@ -800,7 +616,7 @@ mod tests {
                 .iter()
                 .map(|t| t.active_limit_mult())
                 .collect();
-            let limit = |t: &Table| t.dir.read().active_limit_mult;
+            let limit = |t: &Table| t.dir.read().active_limit_mult();
             let shell_limits: Vec<u32> = shell.tables.iter().map(limit).collect();
             if name == "scrambled" {
                 assert!(
@@ -815,6 +631,18 @@ mod tests {
                 (b.splits, b.expansions, b.remaps, b.doublings),
                 "{name}"
             );
+            assert!(b.keys_moved > 0, "{name}: no keys moved");
+            assert_eq!(a.keys_moved, b.keys_moved, "{name}");
+            let times = shell.stats().times;
+            assert!(
+                times.split_ns > 0 && times.doubling_ns > 0,
+                "{name}: {times:?}"
+            );
+            if name == "scrambled" {
+                assert!(times.expansion_ns > 0, "{name}: {times:?}");
+            } else {
+                assert!(times.remap_ns > 0, "{name}: {times:?}");
+            }
             let (mut a, mut b) = (Vec::new(), Vec::new());
             single.scan(0, usize::MAX, &mut a);
             shell.scan(0, usize::MAX, &mut b);
@@ -830,6 +658,9 @@ mod tests {
             );
             assert!(a > 0, "{name}: removals never shrank a segment");
             assert_eq!(a, b, "{name}");
+            assert!(shell.stats().times.shrink_ns > 0, "{name}");
+            let moved = (single.stats().ops.keys_moved, shell.stats().ops.keys_moved);
+            assert_eq!(moved.0, moved.1, "{name}");
             let (mut a, mut b) = (Vec::new(), Vec::new());
             single.scan(0, usize::MAX, &mut a);
             shell.scan(0, usize::MAX, &mut b);

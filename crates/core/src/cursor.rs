@@ -7,15 +7,15 @@
 //! [`ScanCursor`] pays that positioning cost once: because bucket indices
 //! are monotone in the key (§3.2), one remap prediction plus one branchless
 //! lower bound lands on the first qualifying pair, and everything after it
-//! in structural order (table → segment sibling chain → bucket → slot)
-//! already satisfies the predicate. Resuming is O(1).
+//! in structural order (table → directory span → bucket → slot) already
+//! satisfies the predicate. Resuming is O(1).
 //!
 //! # Invalidation
 //!
-//! The position is structural (segment id, bucket, slot), not key-based, so
-//! any mutation of the index invalidates it: a split or remap moves pairs,
-//! a recycled `SegId` can make the old position point at an unrelated
-//! segment, and even a plain in-bucket insert shifts slot indices. Rather
+//! The position is structural (directory index, bucket, slot), not
+//! key-based, so any mutation of the index invalidates it: a split or remap
+//! moves pairs, a doubling renumbers every directory index, and even a
+//! plain in-bucket insert shifts slot indices. Rather
 //! than documenting the hazard and hoping, the index carries a generation
 //! counter ([`DyTis::generation`]) bumped by every `insert`/`remove`;
 //! [`DyTis::scan_next`] compares it against the generation recorded at
@@ -23,7 +23,6 @@
 //! walking stale structure. [`DyTis::resume_cursor`] restarts cleanly from
 //! just past the last yielded key.
 
-use crate::eh::SegId;
 use crate::DyTis;
 use index_traits::{Key, Value};
 
@@ -51,9 +50,9 @@ impl std::error::Error for CursorInvalidated {}
 pub struct ScanCursor {
     /// First-level table currently being walked.
     table: usize,
-    /// Resume position within `table`; `None` means the table is entered
-    /// from its first segment.
-    pos: Option<(SegId, usize, usize)>,
+    /// Resume position (directory index, bucket, slot) within `table`;
+    /// `None` means the table is entered from its first segment.
+    pos: Option<(usize, usize, usize)>,
     /// All tables have been walked to their end.
     exhausted: bool,
     /// [`DyTis::generation`] at creation time; a mismatch on resume means
@@ -115,8 +114,8 @@ impl DyTis {
         }
         // A re-entered cursor starts cold: hint its resume bucket in while
         // the walk below re-derives the structural position.
-        if let Some((seg_id, b, _)) = cur.pos {
-            self.tables[cur.table].prefetch_position(seg_id, b);
+        if let Some((idx, b, _)) = cur.pos {
+            self.tables[cur.table].prefetch_position(idx, b);
         }
         let before = out.len();
         let more = loop {
@@ -131,7 +130,7 @@ impl DyTis {
                 Some(pos) => table.cursor_walk(pos, count, out),
                 // Empty tables are skipped without touching their directory.
                 None if table.is_empty() => None,
-                None => table.cursor_walk(table.start_position(), count, out),
+                None => table.cursor_walk((0, 0, 0), count, out),
             };
             match walked {
                 Some(pos) => cur.pos = Some(pos),

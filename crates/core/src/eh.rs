@@ -1,16 +1,17 @@
 //! Second-level Extendible Hashing tables (§3.1–§3.3).
 //!
-//! Each EH table owns a directory (indexed by the `GD` most-significant bits
-//! of the EH sub-key), an arena of segments, and per-segment sibling links
-//! used to accelerate scans. Insertion follows Algorithm 1 of the paper:
-//! below `L_start` the table behaves as plain Extendible hashing; from
-//! `L_start` on, the utilization threshold `U_t` arbitrates between split,
-//! remapping, expansion and directory doubling.
+//! Each EH table owns a [`Directory`] (indexed by the `GD`
+//! most-significant bits of the EH sub-key) over an arena of segments.
+//! Insertion follows Algorithm 1 of the paper: below `L_start` the table
+//! behaves as plain Extendible hashing; from `L_start` on, the utilization
+//! threshold `U_t` arbitrates between split, remapping, expansion and
+//! directory doubling.
 
+use crate::directory::Directory;
 use crate::params::Params;
 use crate::remap::{mask64, RemapFn};
-use crate::segment::{adaptive_limit_mult, BucketUpsert, Repair, Segment};
-use crate::stats::DytisStats;
+use crate::segment::{BucketUpsert, Repair, Segment, MAX_INSERT_STEPS};
+use crate::stats::{DytisStats, Maint};
 use index_traits::{Key, Value};
 use std::time::Instant;
 
@@ -20,45 +21,23 @@ pub type SegId = u32;
 /// One Extendible Hashing table of DyTIS's second level.
 #[derive(Debug, Clone)]
 pub struct EhTable {
-    /// Number of key bits this table indexes (`n − R`).
-    m_total: u32,
-    /// Global depth `GD`; the directory has `2^GD` entries.
-    global_depth: u32,
-    /// Directory: entry `i` points at the segment holding keys whose top
-    /// `GD` bits equal `i`.
-    dir: Vec<SegId>,
-    /// Segment arena; `None` slots are free.
-    segs: Vec<Option<Segment>>,
-    /// Sibling pointer per arena slot: the next segment in key order.
-    next: Vec<Option<SegId>>,
-    /// Free arena slots for reuse.
-    free: Vec<SegId>,
+    /// Directory over the arena: entries, `GD`, the §3.3 limit state and
+    /// the maintenance record.
+    dir: Directory<SegId>,
+    /// Segment arena. Segments are only ever split, never freed, so every
+    /// slot is live.
+    segs: Vec<Segment>,
     /// Total keys stored in this table.
     num_keys: usize,
-    /// Maintenance statistics.
-    stats: DytisStats,
-    /// Currently active segment-size limit multiplier (`Limit_seg`).
-    active_limit_mult: u32,
-    /// Whether the adaptive limit decision (§3.3 "Selecting a segment size")
-    /// has been made.
-    limit_decided: bool,
 }
 
 impl EhTable {
     /// Creates an empty table indexing `m_total`-bit sub-keys.
     pub fn new(m_total: u32, params: &Params) -> Self {
-        assert!((1..=63).contains(&m_total));
         EhTable {
-            m_total,
-            global_depth: 0,
-            dir: vec![0],
-            segs: vec![Some(Segment::new(0))],
-            next: vec![None],
-            free: Vec::new(),
+            dir: Directory::new(m_total, 0, params),
+            segs: vec![Segment::new(0)],
             num_keys: 0,
-            stats: DytisStats::default(),
-            active_limit_mult: params.limit_mult,
-            limit_decided: false,
         }
     }
 
@@ -77,84 +56,42 @@ impl EhTable {
     /// Global depth of the directory.
     #[inline]
     pub fn global_depth(&self) -> u32 {
-        self.global_depth
+        self.dir.global_depth()
     }
 
     /// Maintenance statistics accumulated so far.
     #[inline]
-    pub fn stats(&self) -> &DytisStats {
-        &self.stats
+    pub fn stats(&self) -> DytisStats {
+        self.dir.record.snapshot()
     }
 
     /// The active segment-size limit multiplier (2 by default; 128 once the
     /// adaptive policy classifies the dataset as expansion-heavy).
     #[inline]
     pub fn active_limit_mult(&self) -> u32 {
-        self.active_limit_mult
-    }
-
-    /// Directory index of sub-key `sk`.
-    #[inline]
-    fn dir_index(&self, sk: u64) -> usize {
-        (sk >> (self.m_total - self.global_depth)) as usize
+        self.dir.active_limit_mult()
     }
 
     #[inline]
     fn seg(&self, id: SegId) -> &Segment {
-        self.segs[id as usize]
-            .as_ref()
-            // invariant: directory entries only hold live arena slots.
-            .expect("dangling segment id")
-    }
-
-    #[inline]
-    fn seg_mut(&mut self, id: SegId) -> &mut Segment {
-        self.segs[id as usize]
-            .as_mut()
-            // invariant: directory entries only hold live arena slots.
-            .expect("dangling segment id")
-    }
-
-    fn alloc(&mut self, seg: Segment) -> SegId {
-        if let Some(id) = self.free.pop() {
-            self.segs[id as usize] = Some(seg);
-            self.next[id as usize] = None;
-            id
-        } else {
-            self.segs.push(Some(seg));
-            self.next.push(None);
-            (self.segs.len() - 1) as SegId
-        }
+        &self.segs[id as usize]
     }
 
     /// Looks up `key` (with sub-key `sk`).
     pub fn get(&self, sk: u64, key: Key, params: &Params) -> Option<Value> {
-        let id = self.dir[self.dir_index(sk)];
-        self.seg(id).get(sk, key, self.m_total, params)
+        let id = *self.dir.entry(sk);
+        self.seg(id).get(sk, key, self.dir.m_total(), params)
     }
 
     /// Removes `key`, shrinking the segment if it becomes under-utilized.
     pub fn remove(&mut self, sk: u64, key: Key, params: &Params) -> Option<Value> {
-        let id = self.dir[self.dir_index(sk)];
-        let m_total = self.m_total;
-        let seg = self.seg_mut(id);
-        let m = seg.key_bits(m_total);
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, m_total);
+        let id = *self.dir.entry(sk);
+        let m_total = self.dir.m_total();
+        let seg = &mut self.segs[id as usize];
+        let b = seg.bucket_of(seg.local_key(sk, m_total), m_total);
         let removed = seg.remove_from_bucket(b, key)?;
         self.num_keys -= 1;
-        let seg = self.seg(id);
-        if seg.total_buckets() > 1 && seg.utilization(params) < params.shrink_threshold {
-            let t0 = Instant::now();
-            let n = self.seg(id).num_keys as u64;
-            if self.seg_mut(id).shrink(m_total, params) {
-                self.stats.ops.shrinks += 1;
-                self.stats.ops.keys_moved += n;
-                let dt = t0.elapsed().as_nanos() as u64;
-                self.stats.times.shrink_ns += dt;
-                obs::counter!("dytis.shrink").inc();
-                obs::histogram!("dytis.shrink_ns").record(dt);
-            }
+        if seg.shrink_if_sparse(m_total, params, &self.dir.record) {
             #[cfg(debug_assertions)]
             self.debug_audit_segment(id, params);
         }
@@ -163,112 +100,56 @@ impl EhTable {
 
     /// Inserts (or updates in place) `key` with sub-key `sk`.
     pub fn insert(&mut self, sk: u64, key: Key, value: Value, params: &Params) {
-        let mut guard = 0u32;
+        let mut steps = 0u32;
         loop {
-            guard += 1;
-            assert!(guard < 10_000, "insert failed to converge");
-            let id = self.dir[self.dir_index(sk)];
-            let m_total = self.m_total;
-            let ld = self.seg(id).local_depth;
-            let m = m_total - ld;
-            let k = sk & mask64(m);
-            {
-                let cap = params.bucket_entries;
-                let seg = self.seg_mut(id);
-                let b = seg.bucket_of(k, m_total);
-                match seg.upsert_in_bucket(b, key, value, cap) {
-                    BucketUpsert::Updated => return,
-                    BucketUpsert::Inserted => {
-                        self.num_keys += 1;
-                        return;
-                    }
-                    BucketUpsert::Full => {}
+            steps += 1;
+            assert!(steps < MAX_INSERT_STEPS, "insert failed to converge");
+            let idx = self.dir.index(sk);
+            let id = self.dir.entries()[idx];
+            let (m_total, gd) = (self.dir.m_total(), self.dir.global_depth());
+            let seg = &mut self.segs[id as usize];
+            let k = seg.local_key(sk, m_total);
+            let b = seg.bucket_of(k, m_total);
+            match seg.upsert_in_bucket(b, key, value, params.bucket_entries) {
+                BucketUpsert::Updated => return,
+                BucketUpsert::Inserted => {
+                    self.num_keys += 1;
+                    return;
                 }
+                BucketUpsert::Full => {}
             }
             // Bucket is full: Algorithm 1 (`Segment::repair_in_place`).
-            self.maybe_decide_limit(params);
-            let gd = self.global_depth;
-            let cap_buckets = params.segment_cap(ld, self.active_limit_mult);
-            let t0 = Instant::now();
-            let n = self.seg(id).num_keys as u64;
-            let repair = self
-                .seg_mut(id)
-                .repair_in_place(k, gd, m_total, cap_buckets, params);
-            match repair {
-                Repair::Remapped => {
-                    self.stats.ops.remaps += 1;
-                    self.stats.ops.keys_moved += n;
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    self.stats.times.remap_ns += dt;
-                    obs::counter!("dytis.remap").inc();
-                    obs::histogram!("dytis.remap_ns").record(dt);
-                    #[cfg(debug_assertions)]
-                    self.debug_audit_segment(id, params);
-                }
-                Repair::Expanded => {
-                    self.stats.ops.expansions += 1;
-                    self.stats.ops.keys_moved += n;
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    self.stats.times.expansion_ns += dt;
-                    obs::counter!("dytis.expand").inc();
-                    obs::histogram!("dytis.expand_ns").record(dt);
-                    #[cfg(debug_assertions)]
-                    self.debug_audit_segment(id, params);
-                }
+            let ld = seg.local_depth;
+            let cap_buckets = self.dir.segment_cap(ld, params);
+            match seg.repair_in_place(k, gd, m_total, cap_buckets, params, &self.dir.record) {
                 // The next iteration sees LD < GD and splits (or remaps) as
                 // Algorithm 1 prescribes.
-                Repair::NeedsSplit if ld == gd => self.double_directory(),
-                Repair::NeedsSplit => self.split(id, self.dir_index(sk), params),
+                Repair::NeedsSplit if ld == gd => {
+                    self.dir.double(params);
+                    #[cfg(debug_assertions)]
+                    self.debug_audit_directory();
+                }
+                Repair::NeedsSplit => self.split(id, idx, params),
+                Repair::Remapped | Repair::Expanded => {
+                    #[cfg(debug_assertions)]
+                    self.debug_audit_segment(id, params);
+                }
             }
         }
     }
 
-    /// Decides the adaptive segment-size limit once the table has gathered
-    /// enough maintenance history (observed at `L' = L_start + 2`, §3.3).
-    fn maybe_decide_limit(&mut self, params: &Params) {
-        if self.limit_decided || self.global_depth < params.l_start + 2 {
-            return;
-        }
-        self.limit_decided = true;
-        let s = &self.stats.ops;
-        self.active_limit_mult = adaptive_limit_mult(s.splits, s.expansions, s.remaps, params);
-    }
-
-    /// Splits segment `id` into two (requires `LD < GD`). `hint_idx` is any
+    /// Splits segment `id` into two (requires `LD < GD`). `idx` is any
     /// directory index pointing at `id`.
-    fn split(&mut self, id: SegId, hint_idx: usize, params: &Params) {
+    fn split(&mut self, id: SegId, idx: usize, params: &Params) {
         let t0 = Instant::now();
-        let m_total = self.m_total;
-        // invariant: directory entries only hold live arena slots.
-        let old = self.segs[id as usize].take().expect("dangling segment id");
-        debug_assert!(old.local_depth < self.global_depth);
-        let n = old.num_keys as u64;
-        let (left, right) = old.split(m_total, params);
-        let new_ld = left.local_depth;
-
-        // Reuse `id` for the left half so predecessors' sibling pointers and
-        // directory entries below the split point stay valid.
-        self.segs[id as usize] = Some(left);
-        let right_id = self.alloc(right);
-        self.next[right_id as usize] = self.next[id as usize];
-        self.next[id as usize] = Some(right_id);
-
-        // Redirect the upper half of the directory range that pointed at the
-        // old segment.
-        let span = 1usize << (self.global_depth - new_ld);
-        // First directory entry of the *old* segment's range: clear the low
-        // `GD - (LD_new - 1)` bits of the hint index.
-        debug_assert_eq!(self.dir[hint_idx], id);
-        let base = hint_idx & !(span * 2 - 1);
-        for e in &mut self.dir[base + span..base + 2 * span] {
-            *e = right_id;
-        }
-        self.stats.ops.splits += 1;
-        self.stats.ops.keys_moved += n;
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.stats.times.split_ns += dt;
-        obs::counter!("dytis.split").inc();
-        obs::histogram!("dytis.split_ns").record(dt);
+        let (left, right) = self.seg(id).split(self.dir.m_total(), params);
+        // Reuse `id` for the left half, so the directory entries below the
+        // split point stay valid.
+        let old = std::mem::replace(&mut self.segs[id as usize], left);
+        let right_id = self.segs.len() as SegId;
+        self.segs.push(right);
+        self.dir.install_split(idx, old.local_depth, id, right_id);
+        self.dir.record.note(Maint::Split, old.num_keys as u64, t0);
         #[cfg(debug_assertions)]
         {
             self.debug_audit_directory();
@@ -277,114 +158,56 @@ impl EhTable {
         }
     }
 
-    /// Doubles the directory (`GD += 1`), duplicating every entry.
-    fn double_directory(&mut self) {
-        let t0 = Instant::now();
-        let mut dir = Vec::with_capacity(self.dir.len() * 2);
-        for &e in &self.dir {
-            dir.push(e);
-            dir.push(e);
-        }
-        self.dir = dir;
-        self.global_depth += 1;
-        self.stats.ops.doublings += 1;
-        let dt = t0.elapsed().as_nanos() as u64;
-        self.stats.times.doubling_ns += dt;
-        obs::counter!("dytis.double").inc();
-        obs::histogram!("dytis.double_ns").record(dt);
-        #[cfg(debug_assertions)]
-        self.debug_audit_directory();
-    }
-
-    /// Structural position (segment id, bucket, slot) of the first pair
-    /// with key `>= start_key` (sub-key `start_sk`): one directory lookup,
-    /// one remap prediction, one branchless lower bound. Because bucket
-    /// indices are monotone in the key (§3.2), every pair at or after this
-    /// position has a key `>= start_key`, so a scan resumed from such a
-    /// position never needs to re-predict.
-    pub(crate) fn cursor_position(&self, start_sk: u64, start_key: Key) -> (SegId, usize, usize) {
-        let seg_id = self.dir[self.dir_index(start_sk)];
-        let seg = self.seg(seg_id);
-        let m = seg.key_bits(self.m_total);
-        let k = start_sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
-        (seg_id, b, seg.buckets[b].lower_bound(start_key))
-    }
-
-    /// Structural position of the table's very first pair slot.
-    pub(crate) fn start_position(&self) -> (SegId, usize, usize) {
-        (self.dir[0], 0, 0)
+    /// Structural position (directory index, bucket, slot) of the first
+    /// pair with key `>= start_key` (sub-key `start_sk`): one directory
+    /// lookup, then [`Segment::seek`]. Every pair at or after this position
+    /// has a key `>= start_key`, so a scan resumed from such a position
+    /// never needs to re-predict.
+    pub(crate) fn cursor_position(&self, start_sk: u64, start_key: Key) -> (usize, usize, usize) {
+        let idx = self.dir.index(start_sk);
+        let seg = self.seg(self.dir.entries()[idx]);
+        let (b, slot) = seg.seek(start_sk, start_key, self.dir.m_total());
+        (idx, b, slot)
     }
 
     /// Cache hint for a resume position: pulls the bucket the next
     /// [`EhTable::cursor_walk`] will start from into cache ahead of the
     /// walk's directory work (see `ScanCursor::scan_next`).
-    pub(crate) fn prefetch_position(&self, seg_id: SegId, b: usize) {
-        if let Some(Some(seg)) = self.segs.get(seg_id as usize) {
-            if let Some(bucket) = seg.buckets.get(b) {
-                crate::simd::prefetch_slice(bucket.keys());
-                crate::simd::prefetch_slice(bucket.vals());
-            }
+    pub(crate) fn prefetch_position(&self, idx: usize, b: usize) {
+        let seg = self.dir.entries().get(idx).map(|&id| self.seg(id));
+        if let Some(bucket) = seg.and_then(|s| s.buckets.get(b)) {
+            crate::simd::prefetch_slice(bucket.keys());
+            crate::simd::prefetch_slice(bucket.vals());
         }
     }
 
-    /// Walks key order structurally from `pos`, bulk-appending pairs until
-    /// `out` holds `count` entries. Returns the position to resume from, or
-    /// `None` once the table is exhausted.
+    /// Walks key order structurally from `pos`, one directory span at a
+    /// time, bulk-appending pairs until `out` holds `count` entries.
+    /// Returns the position to resume from, or `None` once the table is
+    /// exhausted.
     pub(crate) fn cursor_walk(
         &self,
-        pos: (SegId, usize, usize),
+        pos: (usize, usize, usize),
         count: usize,
         out: &mut Vec<(Key, Value)>,
-    ) -> Option<(SegId, usize, usize)> {
-        let (mut seg_id, mut b, mut slot) = pos;
-        loop {
-            // Hint the next sibling segment in while this one is walked, so
+    ) -> Option<(usize, usize, usize)> {
+        let (mut idx, mut b, mut slot) = pos;
+        let entries = self.dir.entries();
+        while idx < entries.len() {
+            let seg = self.seg(entries[idx]);
+            let next = self.dir.next_index(idx, seg.local_depth);
+            // Hint the next span's segment in while this one is walked, so
             // crossing a segment boundary does not stall on its first
             // bucket (the cursor's dominant cache miss on long scans).
-            if let Some(n) = self.next[seg_id as usize] {
-                if let Some(ns) = self.segs[n as usize].as_ref() {
-                    if let Some(first) = ns.buckets.first() {
-                        crate::simd::prefetch_slice(first.keys());
-                    }
-                }
+            if let Some(first) = entries.get(next).and_then(|&n| self.seg(n).buckets.first()) {
+                crate::simd::prefetch_slice(first.keys());
             }
-            if let Some((nb, ns)) = self.seg(seg_id).walk_from(b, slot, count, out) {
-                return Some((seg_id, nb, ns));
+            if let Some((nb, ns)) = seg.walk_from(b, slot, count, out) {
+                return Some((idx, nb, ns));
             }
-            match self.next[seg_id as usize] {
-                Some(n) => (seg_id, b, slot) = (n, 0, 0),
-                None => return None,
-            }
+            (idx, b, slot) = (next, 0, 0);
         }
-    }
-
-    /// Scans from the smallest key `>= start_key` (sub-key `start_sk`),
-    /// appending up to `count - out.len()` pairs. Returns `true` when the
-    /// scan is satisfied (no further tables need visiting).
-    pub fn scan(
-        &self,
-        start_sk: u64,
-        start_key: Key,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        if self.num_keys == 0 {
-            return out.len() >= count;
-        }
-        let pos = self.cursor_position(start_sk, start_key);
-        let _ = self.cursor_walk(pos, count, out);
-        out.len() >= count
-    }
-
-    /// Scans the whole table from its first segment (used when a scan spills
-    /// over from a previous first-level entry).
-    pub fn scan_from_start(&self, count: usize, out: &mut Vec<(Key, Value)>) -> bool {
-        if self.num_keys == 0 {
-            return out.len() >= count;
-        }
-        let _ = self.cursor_walk(self.start_position(), count, out);
-        out.len() >= count
+        None
     }
 
     /// Builds a table directly from strictly-sorted unique `pairs` (whose
@@ -412,10 +235,8 @@ impl EhTable {
         plan_blocks(pairs, 0, pairs.len(), 0, 0, m_total, params, &mut plan);
         let gd = plan.iter().map(|&(ld, _, _)| ld).max().unwrap_or(0);
 
-        table.global_depth = gd;
-        table.dir = Vec::with_capacity(1usize << gd);
+        let mut entries = Vec::with_capacity(1usize << gd);
         table.segs.clear();
-        table.next.clear();
         for (i, &(ld, lo, hi)) in plan.iter().enumerate() {
             let block = &pairs[lo..hi];
             // Hint the next block's input in while this one trains+fills.
@@ -424,12 +245,10 @@ impl EhTable {
             }
             let remap = trained_remap(block, ld, m_total, params);
             let seg = Segment::build(ld, remap, block, m_total, params);
-            let id = i as SegId;
-            let span = 1usize << (gd - ld);
-            table.dir.extend(std::iter::repeat_n(id, span));
-            table.segs.push(Some(seg));
-            table.next.push((i + 1 < plan.len()).then_some(id + 1));
+            entries.extend(std::iter::repeat_n(i as SegId, 1usize << (gd - ld)));
+            table.segs.push(seg);
         }
+        table.dir = Directory::built(m_total, gd, entries, params);
         table.num_keys = pairs.len();
         #[cfg(debug_assertions)]
         table.check_invariants(params);
@@ -438,7 +257,7 @@ impl EhTable {
 
     /// Iterates over all live segments (for tests and introspection).
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segs.iter().filter_map(|s| s.as_ref())
+        self.segs.iter()
     }
 
     /// Total linear models (remapping-function pieces) across segments —
@@ -455,15 +274,9 @@ impl EhTable {
 
     /// Structural memory in bytes: directory + segment metadata + buckets.
     pub fn memory_bytes(&self) -> usize {
-        self.dir.capacity() * std::mem::size_of::<SegId>()
-            + self.next.capacity() * std::mem::size_of::<Option<SegId>>()
-            + self.segs.capacity() * std::mem::size_of::<Option<Segment>>()
-            + self
-                .segs
-                .iter()
-                .flatten()
-                .map(Segment::heap_bytes)
-                .sum::<usize>()
+        self.dir.heap_bytes()
+            + self.segs.capacity() * std::mem::size_of::<Segment>()
+            + self.segs.iter().map(Segment::heap_bytes).sum::<usize>()
     }
 
     /// Validates structural invariants; used by tests and debug assertions.
@@ -473,173 +286,36 @@ impl EhTable {
     /// Panics if any invariant is violated.
     pub fn check_invariants(&self, params: &Params) {
         let mut report = index_traits::AuditReport::new("EhTable");
-        self.audit_into(params, 0, &mut report);
+        self.audit_into(Some(params), 0, &mut report);
         report.assert_clean();
     }
 
-    /// Structure-only directory audit: entry validity, alignment, span
-    /// coverage, sibling links, and free-list consistency. Does not walk
-    /// keys, so it is cheap enough for the debug-build hooks fired after
-    /// every split and doubling. Returns the segment ids in directory order
-    /// when the directory itself is sound enough to walk.
-    pub(crate) fn audit_directory_into(
-        &self,
-        table_idx: usize,
-        report: &mut index_traits::AuditReport,
-    ) -> Vec<SegId> {
-        let gd = self.global_depth;
-        report.check(self.dir.len() == 1usize << gd, "dir-size", || {
-            (
-                format!("table {table_idx}"),
-                format!("directory has {} entries at GD {gd}", self.dir.len()),
-            )
-        });
-        let mut chain = Vec::new();
-        let mut idx = 0usize;
-        while idx < self.dir.len() {
-            let id = self.dir[idx];
-            let Some(seg) = self.segs.get(id as usize).and_then(Option::as_ref) else {
-                report.fail(
-                    "dir-dangling",
-                    format!("table {table_idx} / dir[{idx}]"),
-                    format!("entry points at missing segment {id}"),
-                );
-                idx += 1;
-                continue;
-            };
-            let ld = seg.local_depth;
-            if !report.check(ld <= gd, "local-depth", || {
-                (
-                    format!("table {table_idx} / seg {id}"),
-                    format!("local_depth {ld} exceeds global_depth {gd}"),
-                )
-            }) {
-                idx += 1;
-                continue;
-            }
-            let span = 1usize << (gd - ld);
-            report.check(idx.is_multiple_of(span), "dir-alignment", || {
-                (
-                    format!("table {table_idx} / dir[{idx}]"),
-                    format!("segment {id} (span {span}) starts unaligned"),
-                )
-            });
-            let end = (idx + span).min(self.dir.len());
-            report.check(
-                self.dir[idx..end].iter().all(|&e| e == id),
-                "dir-coverage",
-                || {
-                    (
-                        format!("table {table_idx} / dir[{idx}..{end}]"),
-                        format!("span of segment {id} mixes directory targets"),
-                    )
-                },
-            );
-            chain.push(id);
-            idx += span;
-        }
-        // The sibling chain visits the segments in directory order, then
-        // terminates.
-        let mut cur = chain.first().copied();
-        for &expected in &chain {
-            if !report.check(cur == Some(expected), "sibling-chain", || {
-                (
-                    format!("table {table_idx}"),
-                    format!("chain reached {cur:?}, directory order expects segment {expected}"),
-                )
-            }) {
-                break;
-            }
-            cur = self.next.get(expected as usize).copied().flatten();
-        }
-        report.check(cur.is_none(), "sibling-chain", || {
-            (
-                format!("table {table_idx}"),
-                format!("chain has trailing segment {cur:?} past the directory"),
-            )
-        });
-        for &f in &self.free {
-            report.check(
-                self.segs.get(f as usize).is_some_and(Option::is_none),
-                "free-list",
-                || {
-                    (
-                        format!("table {table_idx}"),
-                        format!("free slot {f} still holds a live segment"),
-                    )
-                },
-            );
-        }
-        // Every live arena slot must be reachable from the directory.
-        for (i, s) in self.segs.iter().enumerate() {
-            if s.is_some() {
-                report.check(chain.contains(&(i as SegId)), "seg-unreferenced", || {
-                    (
-                        format!("table {table_idx} / seg {i}"),
-                        "live segment not referenced by the directory".into(),
-                    )
-                });
-            }
-        }
-        chain
-    }
-
-    /// Deep audit: the directory checks of [`Self::audit_directory_into`]
-    /// plus per-segment remap/bucket invariants, cross-segment key ordering,
-    /// per-segment key ranges, and table-level key accounting.
+    /// Audits the table as table `table_idx`: [`Directory::audit`] over the
+    /// arena (deep when `params` is given), plus the arena's own
+    /// invariant — every segment is named by the directory.
     pub(crate) fn audit_into(
         &self,
-        params: &Params,
+        params: Option<&Params>,
         table_idx: usize,
         report: &mut index_traits::AuditReport,
     ) {
-        let chain = self.audit_directory_into(table_idx, report);
-        let mut total = 0usize;
-        let mut last_key: Option<Key> = None;
-        let mut dir_idx = 0usize;
-        for &id in &chain {
-            let seg = self.seg(id);
-            let loc = format!("table {table_idx} / seg {id}");
-            crate::audit::audit_segment(seg, self.m_total, params, &loc, report);
-            let ld = seg.local_depth.min(self.global_depth);
-            let span = 1usize << (self.global_depth - ld);
-            if let Some((first, last)) = crate::audit::segment_key_bounds(seg) {
-                // Keys are strictly sorted within a segment (checked above),
-                // so range membership of the extremes covers every key.
-                let prefix = (dir_idx / span) as u64;
-                let shift = self.m_total - ld;
-                for key in [first, last] {
-                    let sk = key & mask64(self.m_total);
-                    report.check(ld == 0 || sk >> shift == prefix, "key-range", || {
-                        (
-                            loc.clone(),
-                            format!("key {key:#x} outside directory prefix {prefix:#x}"),
-                        )
-                    });
-                }
-                report.check(
-                    last_key.is_none_or(|p| p < first),
-                    "table-key-order",
-                    || {
-                        (
-                            loc.clone(),
-                            format!(
-                                "first key {first:#x} not above previous segment's {last_key:?}"
-                            ),
-                        )
-                    },
-                );
-                last_key = Some(last);
+        let keys = params.map(|p| (p, self.num_keys));
+        let seg = |&id: &SegId| self.segs.get(id as usize);
+        self.dir.audit(table_idx, keys, report, |a, b| a == b, seg);
+        let mut named = vec![false; self.segs.len()];
+        for &id in self.dir.entries() {
+            if let Some(n) = named.get_mut(id as usize) {
+                *n = true;
             }
-            total += seg.num_keys;
-            dir_idx += span;
         }
-        report.check(total == self.num_keys, "table-key-count", || {
-            (
-                format!("table {table_idx}"),
-                format!("segments hold {total} keys, table claims {}", self.num_keys),
-            )
-        });
+        for (i, named) in named.into_iter().enumerate() {
+            report.check(named, "seg-unreferenced", || {
+                (
+                    format!("table {table_idx} / seg {i}"),
+                    "segment not referenced by the directory".into(),
+                )
+            });
+        }
     }
 
     /// Debug-build hook: audits one segment after a contents-changing
@@ -653,7 +329,7 @@ impl EhTable {
         let mut report = index_traits::AuditReport::new("EhTable segment");
         crate::audit::audit_segment(
             self.seg(id),
-            self.m_total,
+            self.dir.m_total(),
             params,
             &format!("seg {id}"),
             &mut report,
@@ -670,7 +346,7 @@ impl EhTable {
     #[cfg(debug_assertions)]
     fn debug_audit_directory(&self) {
         let mut report = index_traits::AuditReport::new("EhTable directory");
-        self.audit_directory_into(0, &mut report);
+        self.audit_into(None, 0, &mut report);
         report.assert_clean();
     }
 }
@@ -837,55 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_returns_sorted_run() {
-        let p = params();
-        let mut t = EhTable::new(M, &p);
-        let keys: Vec<u64> = (0..3000u64).map(|k| (k * 2654435761) % (1 << M)).collect();
-        let mut sorted: Vec<u64> = keys.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for &k in &keys {
-            t.insert(k, k, k, &p);
-        }
-        let mut out = Vec::new();
-        t.scan(100, 100, 64, &mut out);
-        let expect: Vec<u64> = sorted
-            .iter()
-            .copied()
-            .filter(|&k| k >= 100)
-            .take(64)
-            .collect();
-        let got: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn scan_spills_across_segments() {
-        let p = params();
-        let mut t = EhTable::new(M, &p);
-        for k in 0..5000u64 {
-            t.insert(k, k, k, &p);
-        }
-        let mut out = Vec::new();
-        assert!(t.scan(4000, 4000, 500, &mut out));
-        assert_eq!(out.len(), 500);
-        assert_eq!(out[0].0, 4000);
-        assert_eq!(out[499].0, 4499);
-    }
-
-    #[test]
-    fn scan_past_end_is_unsatisfied() {
-        let p = params();
-        let mut t = EhTable::new(M, &p);
-        for k in 0..100u64 {
-            t.insert(k, k, k, &p);
-        }
-        let mut out = Vec::new();
-        assert!(!t.scan(50, 50, 200, &mut out));
-        assert_eq!(out.len(), 50);
-    }
-
-    #[test]
     fn stats_accumulate() {
         let p = params();
         let mut t = EhTable::new(M, &p);
@@ -908,29 +535,11 @@ mod tests {
         t.check_invariants(&p);
         t.num_keys += 1;
         let mut report = index_traits::AuditReport::new("EhTable");
-        t.audit_into(&p, 0, &mut report);
+        t.audit_into(Some(&p), 0, &mut report);
         assert!(report
             .violations
             .iter()
             .any(|v| v.invariant == "table-key-count"));
-    }
-
-    #[test]
-    fn audit_detects_broken_sibling_chain() {
-        let p = params();
-        let mut t = EhTable::new(M, &p);
-        for k in 0..4000u64 {
-            t.insert(k, k, k, &p);
-        }
-        assert!(t.segment_count() > 1, "need several segments");
-        let first = t.dir[0];
-        t.next[first as usize] = None;
-        let mut report = index_traits::AuditReport::new("EhTable");
-        t.audit_directory_into(0, &mut report);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "sibling-chain"));
     }
 
     #[test]
@@ -940,10 +549,10 @@ mod tests {
         for k in 0..4000u64 {
             t.insert(k, k, k, &p);
         }
-        let victim = t.dir[0];
-        t.segs[victim as usize] = None;
+        // Drop the newest segment: the directory still names it.
+        t.segs.pop();
         let mut report = index_traits::AuditReport::new("EhTable");
-        t.audit_directory_into(0, &mut report);
+        t.audit_into(None, 0, &mut report);
         assert!(report
             .violations
             .iter()
@@ -964,13 +573,13 @@ mod tests {
             .segments()
             .position(|s| s.total_buckets() > 1)
             .expect("grown table has a multi-bucket segment");
-        let seg = t.segs.iter_mut().flatten().nth(id).expect("segment exists");
+        let seg = &mut t.segs[id];
         let last = seg.buckets.len() - 1;
         let _ = seg.buckets[last].insert(0, 0);
         seg.num_keys += 1;
         t.num_keys += 1;
         let mut report = index_traits::AuditReport::new("EhTable");
-        t.audit_into(&p, 0, &mut report);
+        t.audit_into(Some(&p), 0, &mut report);
         assert!(!report.is_clean());
         assert!(report
             .violations
@@ -989,7 +598,7 @@ mod tests {
             assert_eq!(t.get(k, k, &p), Some(v), "key {k}");
         }
         let mut out = Vec::new();
-        t.scan_from_start(pairs.len(), &mut out);
+        t.cursor_walk((0, 0, 0), pairs.len(), &mut out);
         assert_eq!(out, pairs);
     }
 
@@ -1004,7 +613,7 @@ mod tests {
         t.check_invariants(&p);
         assert_eq!(t.len(), pairs.len());
         let mut out = Vec::new();
-        t.scan_from_start(pairs.len(), &mut out);
+        t.cursor_walk((0, 0, 0), pairs.len(), &mut out);
         assert_eq!(out, pairs);
     }
 
@@ -1029,13 +638,13 @@ mod tests {
         assert!(t.segment_count() > 1, "need several segments");
         // Stepped resume must concatenate to exactly one full pass.
         let mut stepped = Vec::new();
-        let mut pos = Some(t.start_position());
+        let mut pos = Some((0, 0, 0));
         while let Some(pp) = pos {
             let target = stepped.len() + 97;
             pos = t.cursor_walk(pp, target, &mut stepped);
         }
         let mut whole = Vec::new();
-        t.scan_from_start(5000, &mut whole);
+        t.cursor_walk((0, 0, 0), 5000, &mut whole);
         assert_eq!(stepped, whole);
         assert_eq!(stepped.len(), 5000);
     }

@@ -19,8 +19,10 @@
 //! The concurrent index (§3.4) is [`ConcurrentDyTis`] (`concurrent.rs`):
 //! one latch protocol, a per-table directory lock over per-segment
 //! reader/writer locks, taken by readers and writers alike. It and
-//! [`DyTis`] share one Algorithm 1 ([`segment::Segment::repair_in_place`])
-//! and one §3.3 segment-size rule ([`segment::adaptive_limit_mult`]).
+//! [`DyTis`] share one extendible-hash directory (`directory.rs`: index,
+//! doubling, split install, the §3.3 segment-size decision, scan step,
+//! audit, maintenance record) and one Algorithm 1
+//! (`Segment::repair_in_place`).
 //!
 //! # Examples
 //!
@@ -44,6 +46,7 @@ pub mod audit;
 pub mod bucket;
 pub mod concurrent;
 pub mod cursor;
+mod directory;
 pub mod eh;
 pub mod params;
 pub mod persist;
@@ -75,8 +78,9 @@ pub struct DyTis {
     /// Mutation generation, bumped by every `insert`/`remove`. Outstanding
     /// [`ScanCursor`]s record the generation they were created under so a
     /// resume after *any* mutation — including the structural ones (split,
-    /// remapping, expansion, directory doubling) that can recycle a `SegId`
-    /// — is detected instead of walking stale structure (see
+    /// remapping, expansion, directory doubling) that move pairs or
+    /// renumber directory positions — is detected instead of walking stale
+    /// structure (see
     /// [`DyTis::scan_next`]).
     generation: u64,
 }
@@ -138,7 +142,7 @@ impl DyTis {
     pub fn stats(&self) -> DytisStats {
         let mut acc = DytisStats::default();
         for t in &self.tables {
-            acc.merge(t.stats());
+            acc.merge(&t.stats());
         }
         acc
     }
@@ -487,6 +491,36 @@ mod tests {
         idx.check_invariants();
         assert_eq!(idx.get(u64::MAX), Some(1));
         assert_eq!(idx.first_key(), Some(u64::MAX));
+    }
+
+    /// The §3.3 limit is decided when a doubling brings `GD` to
+    /// `L_start + 2`. A bulk build that starts at that depth has no history
+    /// to decide from and keeps the default `limit_mult`, however
+    /// expansion-heavy the inserts after it are; the same inserts into an
+    /// empty index raise the limit.
+    #[test]
+    fn bulk_built_table_keeps_the_default_limit() {
+        let p = Params::small();
+        // An evenly spaced bulk build trains every segment flat, so the
+        // scrambled inserts after it overflow buckets of segments above
+        // `U_t`: expansions, as in a table grown by those inserts alone.
+        let base: Vec<(u64, u64)> = (0..4_096u64).map(|i| (i << 52, i)).collect();
+        let stream = (1..40_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15));
+        let mut built = DyTis::bulk_load_with_params(&base, p);
+        assert!(built.tables().all(|t| t.global_depth() >= p.l_start + 2));
+        let mut grown = small();
+        for k in stream {
+            built.insert(k, k);
+            grown.insert(k, k);
+        }
+        // Non-vacuity: the built tables doubled, and their history would
+        // raise the limit had the bulk build not counted as decided.
+        let s = built.stats().ops;
+        assert!(s.doublings > 0);
+        let history = segment::adaptive_limit_mult(s.splits, s.expansions, s.remaps, &p);
+        assert_eq!(history, p.limit_mult_raised);
+        assert_eq!(built.raised_limit_tables(), 0);
+        assert!(grown.raised_limit_tables() > 0);
     }
 
     #[test]

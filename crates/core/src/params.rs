@@ -21,7 +21,9 @@ pub struct Params {
     pub l_start: u32,
     /// Default segment-size limit multiplier (`Limit_seg`): a segment at
     /// local depth `LD >= L_start` may hold at most
-    /// `limit_mult << (LD - L_start)` buckets.
+    /// `limit_mult << min(LD, 24)` buckets ([`Params::segment_cap`]).
+    /// Whether that matches the paper's §3.3 formula is not yet checked
+    /// against the paper's text.
     pub limit_mult: u32,
     /// Raised limit multiplier applied when the adaptive policy (observed at
     /// `L' = L_start + 2`) detects an expansion-heavy (uniform-ish) dataset.

@@ -11,7 +11,14 @@
 use crate::bucket::Bucket;
 use crate::params::Params;
 use crate::remap::{mask64, RemapFn};
+use crate::stats::{Maint, MaintRecord};
 use index_traits::{Key, Value};
+use std::time::Instant;
+
+/// Bound on the iterations of one insert's loop, in both indexes: fast-path
+/// attempts, in-place repairs and split / doubling steps alike. A converging
+/// insert needs a handful; hitting the bound is a bug, and panics.
+pub(crate) const MAX_INSERT_STEPS: u32 = 10_000;
 
 /// Outcome of attempting a remapping (§3.3, Algorithm 1 lines 8/15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +127,16 @@ impl Segment {
     #[inline]
     pub fn bucket_of(&self, k: u64, m_total: u32) -> usize {
         self.remap.bucket_index(k, self.key_bits(m_total))
+    }
+
+    /// Structural position `(bucket, slot)` of the first pair with key
+    /// `>= key` (EH sub-key `sk`): one remap prediction, one lower bound.
+    /// Bucket indices are monotone in the key (§3.2), so every pair at or
+    /// after it qualifies.
+    #[inline]
+    pub fn seek(&self, sk: u64, key: Key, m_total: u32) -> (usize, usize) {
+        let b = self.bucket_of(self.local_key(sk, m_total), m_total);
+        (b, self.buckets[b].lower_bound(key))
     }
 
     /// Length of bucket `b` read from the occupancy array (no bucket deref).
@@ -484,27 +501,53 @@ impl Segment {
     /// threshold `U_t` arbitrates — a well-utilized segment expands if it
     /// owns its whole directory range (`LD == GD`) and otherwise splits, a
     /// poorly utilized one remaps. An expansion or remapping that would
-    /// exceed `max_buckets` (`Limit_seg(LD)`) falls back to a split.
-    pub fn repair_in_place(
+    /// exceed `max_buckets` (`Limit_seg(LD)`) falls back to a split. A
+    /// remap or expansion is noted in the table's `record`.
+    pub(crate) fn repair_in_place(
         &mut self,
         k: u64,
         global_depth: u32,
         m_total: u32,
         max_buckets: usize,
         params: &Params,
+        record: &MaintRecord,
     ) -> Repair {
         let ld = self.local_depth;
         if ld < params.l_start {
             return Repair::NeedsSplit;
         }
+        let (t0, moved) = (Instant::now(), self.num_keys as u64);
         if self.utilization(params) > params.utilization_threshold {
             if ld == global_depth && self.expand(m_total, max_buckets, params) {
+                record.note(Maint::Expand, moved, t0);
                 return Repair::Expanded;
             }
         } else if self.remap_adjust(k, m_total, max_buckets, params) != RemapOutcome::Failed {
+            record.note(Maint::Remap, moved, t0);
             return Repair::Remapped;
         }
         Repair::NeedsSplit
+    }
+
+    /// The deletion-merge rule (§3.3): a multi-bucket segment whose
+    /// utilization fell below `shrink_threshold` shrinks
+    /// ([`Segment::shrink`]), noted in the table's `record`. Returns
+    /// whether it shrank.
+    pub(crate) fn shrink_if_sparse(
+        &mut self,
+        m_total: u32,
+        params: &Params,
+        record: &MaintRecord,
+    ) -> bool {
+        if self.total_buckets() <= 1 || self.utilization(params) >= params.shrink_threshold {
+            return false;
+        }
+        let (t0, moved) = (Instant::now(), self.num_keys as u64);
+        let shrank = self.shrink(m_total, params);
+        if shrank {
+            record.note(Maint::Shrink, moved, t0);
+        }
+        shrank
     }
 
     /// Splits the segment into two halves of its key range (§3.3). Each new

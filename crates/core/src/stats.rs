@@ -1,6 +1,8 @@
 //! Maintenance statistics and timing breakdown (§4.3 "Insertion Breakdown").
 
+use crate::sync::atomic::{AtomicU64, Ordering};
 use index_traits::MaintenanceStats;
+use std::time::Instant;
 
 /// Wall-clock time spent in each maintenance operation, in nanoseconds.
 ///
@@ -50,6 +52,101 @@ impl DytisStats {
     pub fn merge(&mut self, other: &DytisStats) {
         self.ops.merge(&other.ops);
         self.times.merge(&other.times);
+    }
+}
+
+/// One structural maintenance operation, as [`MaintRecord::note`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Maint {
+    Split,
+    Expand,
+    Remap,
+    Double,
+    Shrink,
+}
+
+/// The maintenance record of one second-level table, filled by both
+/// indexes: per-operation counts and time, plus the keys the rebuilds
+/// moved. Atomic so `ConcurrentDyTis` can record segment-local repairs
+/// under its directory *read* lock.
+#[derive(Debug, Default)]
+pub(crate) struct MaintRecord {
+    /// Indexed by [`Maint`].
+    counts: [AtomicU64; 5],
+    /// Nanoseconds, indexed by [`Maint`].
+    times: [AtomicU64; 5],
+    keys_moved: AtomicU64,
+}
+
+impl MaintRecord {
+    /// Records one `op` that started at `t0` and moved `keys` keys, and
+    /// emits its `dytis.*` obs counter and timing histogram.
+    pub(crate) fn note(&self, op: Maint, keys: u64, t0: Instant) {
+        let dt = t0.elapsed().as_nanos() as u64;
+        let i = op as usize;
+        // relaxed: monotonic statistics. The one reader that acts on them,
+        // the §3.3 limit decision, holds the directory write lock, which
+        // orders every increment made under a directory lock before it;
+        // all other reads happen after the writers quiesced.
+        self.counts[i].fetch_add(1, Ordering::Relaxed);
+        // relaxed: see above.
+        self.times[i].fetch_add(dt, Ordering::Relaxed);
+        // relaxed: see above.
+        self.keys_moved.fetch_add(keys, Ordering::Relaxed);
+        // `counter!` caches its handle per call site, so each name needs
+        // its own site.
+        macro_rules! emit {
+            ($name:literal) => {{
+                obs::counter!($name).inc();
+                obs::histogram!(concat!($name, "_ns")).record(dt);
+            }};
+        }
+        match op {
+            Maint::Split => emit!("dytis.split"),
+            Maint::Expand => emit!("dytis.expand"),
+            Maint::Remap => emit!("dytis.remap"),
+            Maint::Double => emit!("dytis.double"),
+            Maint::Shrink => emit!("dytis.shrink"),
+        }
+    }
+
+    /// The record as plain numbers.
+    pub(crate) fn snapshot(&self) -> DytisStats {
+        // relaxed: see `note`.
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let [splits, expansions, remaps, doublings, shrinks] = self.counts.each_ref().map(load);
+        let [split_ns, expansion_ns, remap_ns, doubling_ns, shrink_ns] =
+            self.times.each_ref().map(load);
+        DytisStats {
+            ops: MaintenanceStats {
+                splits,
+                expansions,
+                remaps,
+                doublings,
+                shrinks,
+                keys_moved: load(&self.keys_moved),
+            },
+            times: OpTimes {
+                split_ns,
+                expansion_ns,
+                remap_ns,
+                doubling_ns,
+                shrink_ns,
+            },
+        }
+    }
+}
+
+impl Clone for MaintRecord {
+    fn clone(&self) -> Self {
+        // relaxed: only `EhTable`, which one thread owns, is cloned, so
+        // no note is in flight.
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        MaintRecord {
+            counts: self.counts.each_ref().map(copy),
+            times: self.times.each_ref().map(copy),
+            keys_moved: copy(&self.keys_moved),
+        }
     }
 }
 

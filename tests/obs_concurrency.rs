@@ -101,21 +101,17 @@ fn histogram_totals_match_op_counts_under_8_thread_churn() {
     assert_eq!(idx.len(), (total / 2) as usize);
 }
 
-/// The concurrent index's always-on maintenance counters and its `cdytis.*`
-/// obs counters are bumped side by side: over one single-threaded stream
-/// the registry deltas must equal `maintenance_stats()` exactly.
+/// Both indexes fill one maintenance record, which also bumps the
+/// `dytis.*` obs counters: over one single-threaded stream through the
+/// concurrent index the registry deltas must equal its
+/// `maintenance_stats()` exactly.
 #[test]
-fn cdytis_counters_match_maintenance_stats() {
+fn dytis_counters_match_concurrent_maintenance_stats() {
     let _serial = REGISTRY.lock().expect("a registry test panicked");
     let read = || {
         let snap = obs::snapshot();
-        [
-            "cdytis.split",
-            "cdytis.expand",
-            "cdytis.remap",
-            "cdytis.double",
-        ]
-        .map(|name| counter(&snap, name).unwrap_or(0))
+        ["dytis.split", "dytis.expand", "dytis.remap", "dytis.double"]
+            .map(|name| counter(&snap, name).unwrap_or(0))
     };
     let before = read();
     let idx = ConcurrentDyTis::with_params(Params::small());
@@ -130,7 +126,7 @@ fn cdytis_counters_match_maintenance_stats() {
     assert_eq!(
         delta,
         [own.splits, own.expansions, own.remaps, own.doublings],
-        "cdytis.* counters drifted from maintenance_stats()"
+        "dytis.* counters drifted from maintenance_stats()"
     );
 }
 
