@@ -9,8 +9,9 @@
 //!   an in-process `DyTis` (small geometry so maintenance is visible at
 //!   bench scale).
 //! - `--net` — additionally replays the drift scenario through the real
-//!   TCP server (`TpcServer` over small-geometry shards) via the blocking
-//!   `DYF1` client, reading the shards' counters server-side.
+//!   TCP server (`TpcServer` over one small-geometry `ConcurrentDyTis`)
+//!   via the blocking `DYF1` client, reading the index's counters
+//!   server-side.
 //! - `--chaos` — additionally runs the chaos leg: a `DurableShardedStore`
 //!   is killed mid-drift every few thousand acked mutations, recovered,
 //!   and checked against the acked-op oracle plus a deep audit.
@@ -25,13 +26,13 @@
 //!     [--net] [--chaos] [--assert-drift] [--out BENCH_scenarios.json]
 //! ```
 
-use dytis::{DyTis, Params};
+use dytis::{ConcurrentDyTis, DyTis, Params};
 use index_traits::{Key, MaintenanceStats, Value};
-use kvstore::{BinClient, DurabilityOptions, ServerOptions, TpcServer};
+use kvstore::{BinClient, DurabilityOptions, TpcOptions, TpcServer};
 use scenario::{builtin, chaos, compile, run, DytisTarget, RunOptions, ScenarioTarget, Timeline};
 
 /// Network adapter: ops go over the wire through the blocking client;
-/// counters are read server-side from the workers' shards.
+/// counters are read server-side from the served index.
 struct NetTarget<'a> {
     client: BinClient,
     server: &'a TpcServer,
@@ -77,12 +78,12 @@ fn run_inproc(sc: &scenario::Scenario, opts: &RunOptions) -> Timeline {
 
 fn run_net(sc: &scenario::Scenario, opts: &RunOptions) -> Timeline {
     let compiled = compile(sc);
-    // Two shards, so ops dialled at worker 0 also cross the forwarding hop.
-    let shards = (0..2)
-        .map(|_| DyTis::with_params(Params::small()))
-        .collect();
-    let server = TpcServer::with_shards("127.0.0.1:0", ServerOptions::default(), shards)
-        .expect("server start");
+    let tpc = TpcOptions {
+        workers: 2,
+        ..TpcOptions::default()
+    };
+    let index = ConcurrentDyTis::with_params(Params::small());
+    let server = TpcServer::with_index("127.0.0.1:0", tpc, index).expect("server start");
     let client = BinClient::connect(server.addr()).expect("client connect");
     let mut target = NetTarget {
         client,

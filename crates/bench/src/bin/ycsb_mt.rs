@@ -21,19 +21,21 @@
 //!
 //! `--net` (dytis only) drives the real KV server over loopback
 //! instead of calling the index in process: one `TpcServer` (one poll(2)
-//! event loop + one DyTIS shard per core) per cell, loaded and driven over
-//! `DYF1` binary frames by the shard-routing `RoutedClient`, one client per
-//! worker thread, with order-preserving run-length batching. Latencies
-//! include the full parse/serve/serialize path, so this is the end-to-end
-//! number the service can honestly quote; the maintenance counters are the
-//! server's own (`TpcServer::maintenance_stats`). The run also times 1000
+//! event loop per core over one shared `ConcurrentDyTis`) per cell, loaded
+//! and driven over `DYF1` binary frames by one `BinClient` per client
+//! thread, the threads spread round-robin over the server's workers, with
+//! order-preserving run-length batching. Latencies include the full
+//! parse/serve/serialize path, so this is the end-to-end number the
+//! service can honestly quote; the maintenance and insert-retry counters
+//! are the server's own (`TpcServer::maintenance_stats`,
+//! `TpcServer::insert_retries`). The run also times 1000
 //! single `set`s against one `set_batch(1000)` and asserts the pipelined
 //! path wins, recording both under a `"net_batch"` key.
 
 use bench::{base_keys, base_ops};
 use dytis::ConcurrentDyTis;
 use index_traits::{ConcurrentKvIndex, Key, MaintenanceStats, Value};
-use kvstore::{RoutedClient, TpcServer};
+use kvstore::{BinClient, TpcServer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -138,7 +140,7 @@ fn run_threads(idx: &Arc<dyn ConcurrentKvIndex>, ops: &[Op], threads: usize) -> 
 /// same-kind ops are coalesced into one pipelined batch.
 const NET_RUN_CAP: usize = 256;
 
-/// Runs one shard of ops through a routed binary client.
+/// Runs one shard of ops through a binary client.
 ///
 /// Consecutive ops of the same kind are coalesced into one pipelined
 /// `set_batch`/`get_batch` (run-length batching), which preserves program
@@ -146,7 +148,7 @@ const NET_RUN_CAP: usize = 256;
 /// letting read-heavy workloads amortize round trips across whole runs.
 /// Each op in a run is charged the run's full round-trip latency (its
 /// honest time-to-result); throughput comes from the wall clock.
-fn run_net_ops_routed(client: &mut RoutedClient, ops: &[Op]) -> (Vec<u64>, u64) {
+fn run_net_ops(client: &mut BinClient, ops: &[Op]) -> (Vec<u64>, u64) {
     let mut lat = Vec::with_capacity(ops.len());
     let mut sink = 0u64;
     let start = Instant::now();
@@ -196,9 +198,9 @@ fn run_net_ops_routed(client: &mut RoutedClient, ops: &[Op]) -> (Vec<u64>, u64) 
     (lat, start.elapsed().as_nanos() as u64)
 }
 
-/// One `--net` cell: fresh server, pipelined load, one routed client per
-/// worker thread. Maintenance counters come from the server's shards;
-/// single-threaded shards never retry an insert, so that count is 0.
+/// One `--net` cell: fresh server, pipelined load, one client per client
+/// thread, thread `t` on worker `t % workers`. Maintenance and insert-retry
+/// counters come from the server's index.
 fn net_cell(
     workload: Workload,
     loaded: &[Key],
@@ -211,20 +213,22 @@ fn net_cell(
     let server = TpcServer::start("127.0.0.1:0").expect("bind tpc");
     let addrs: Vec<SocketAddr> = server.worker_addrs().to_vec();
 
-    let mut loader = RoutedClient::connect(&addrs).expect("loader connect");
+    let mut loader = BinClient::connect(addrs[0]).expect("loader connect");
     loader.set_batch(&pairs).expect("net load");
     loader.quit().expect("loader quit");
 
     let parts = shards(&ops, threads);
     let before = server.maintenance_stats();
+    let retries_before = server.insert_retries();
     let wall = Instant::now();
     let handles = parts
         .into_iter()
-        .map(|shard| {
-            let addrs = addrs.clone();
+        .enumerate()
+        .map(|(t, shard)| {
+            let addr = addrs[t % addrs.len()];
             std::thread::spawn(move || {
-                let mut c = RoutedClient::connect(&addrs).expect("routed connect");
-                let out = run_net_ops_routed(&mut c, &shard);
+                let mut c = BinClient::connect(addr).expect("connect");
+                let out = run_net_ops(&mut c, &shard);
                 c.quit().expect("quit");
                 out
             })
@@ -232,16 +236,17 @@ fn net_cell(
         .collect();
     let summary = pool(handles, ops.len(), wall);
     let maintenance = server.maintenance_stats().delta_since(&before);
+    let insert_retries = server.insert_retries() - retries_before;
     let report = server.shutdown();
     assert!(report.drained, "net cell server failed to drain");
-    (summary, maintenance, 0)
+    (summary, maintenance, insert_retries)
 }
 
 /// Times 1000 single `set` round trips against one pipelined
 /// `set_batch(1000)` on the same connection and asserts the batch wins:
 /// the acceptance bar for the pipelined client path.
-fn net_batch_comparison(addrs: &[SocketAddr]) -> (u64, u64, f64) {
-    let mut c = RoutedClient::connect(addrs).expect("connect");
+fn net_batch_comparison(addr: SocketAddr) -> (u64, u64, f64) {
+    let mut c = BinClient::connect(addr).expect("connect");
     let pairs: Vec<(Key, Value)> = (0..1_000u64).map(|i| (i * 2 + 1, i)).collect();
     // Warm the connection and the store's first-level tables.
     c.set(0, 0).expect("warm set");
@@ -352,7 +357,7 @@ fn main() {
         }
     }
     if net && index_name != "dytis" {
-        eprintln!("--net serves DyTis shards behind TpcServer; use --index dytis");
+        eprintln!("--net serves ConcurrentDyTis behind TpcServer; use --index dytis");
         std::process::exit(2);
     }
 
@@ -424,7 +429,7 @@ fn main() {
     // writing results: 1000 singles vs one set_batch(1000).
     let net_batch = net.then(|| {
         let server = TpcServer::start("127.0.0.1:0").expect("bind batch server");
-        let stats = net_batch_comparison(server.worker_addrs());
+        let stats = net_batch_comparison(server.addr());
         let report = server.shutdown();
         assert!(report.drained, "batch comparison server failed to drain");
         stats

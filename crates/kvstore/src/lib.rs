@@ -1,16 +1,16 @@
-//! A Memcached-style in-memory KV service on single-threaded DyTIS shards
-//! (§3.4).
+//! A Memcached-style in-memory KV service on DyTIS (§3.4).
 //!
 //! The paper positions DyTIS as the index for "in-memory data management
 //! systems, such as in-memory databases and key-value stores", and names
-//! the shared-nothing deployment: "multiple single-threaded engines … as
-//! in H-Store and Redis Cluster" over the lock-free single-threaded index.
-//! This crate is that system in miniature: [`TpcServer`], a thread-per-core
-//! TCP server whose every worker owns one [`dytis::DyTis`] shard (keys
-//! partitioned by [`shard_of`]), speaking one wire protocol — the `DYF1`
-//! binary frame ([`frame`], blocking [`BinClient`] / [`RoutedClient`]);
-//! plus the embedded [`DurableShardedStore`], the same sharding under a
-//! write-ahead log.
+//! two ways to serve it: the latched concurrent index, or "multiple
+//! single-threaded engines … as in H-Store and Redis Cluster". This crate
+//! is that system in miniature, using each where it measured best:
+//! [`TpcServer`], a thread-per-core TCP server whose workers all apply
+//! their own requests to one shared [`dytis::ConcurrentDyTis`], speaking
+//! one wire protocol — the `DYF1` binary frame ([`frame`], blocking
+//! [`BinClient`]); plus the embedded [`DurableShardedStore`],
+//! single-threaded [`dytis::DyTis`] shards partitioned by [`shard_of`]
+//! under a write-ahead log.
 //!
 //! # Robustness (DESIGN.md §16)
 //!
@@ -31,6 +31,10 @@
 //!   every live socket, and joins the workers under
 //!   [`ServerOptions::drain_deadline`], reporting the result as a
 //!   [`DrainReport`].
+//! - **Bounded replies** — a connection whose unsent replies reach a
+//!   high-water mark is neither read nor answered further until it drains,
+//!   so one pipelined burst of large requests cannot queue unbounded
+//!   replies.
 //!
 //! # Examples
 //!
@@ -54,7 +58,7 @@ pub mod shard;
 #[cfg(unix)]
 pub mod tpc;
 
-pub use binclient::{BinClient, RoutedClient};
+pub use binclient::BinClient;
 pub use shard::{shard_of, DurabilityOptions, DurableShardedStore};
 #[cfg(unix)]
 pub use tpc::{TpcOptions, TpcServer};

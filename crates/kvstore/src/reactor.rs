@@ -2,8 +2,8 @@
 //!
 //! The thread-per-core server (`tpc.rs`) needs exactly two kernel
 //! facilities std does not expose: *readiness polling* over a set of
-//! nonblocking sockets, and a *wake pipe* so peer workers can interrupt a
-//! poll from another thread. Rather than pulling in `mio`/`libc`, this
+//! nonblocking sockets, and a *wake pipe* so another thread (shutdown) can
+//! interrupt a poll. Rather than pulling in `mio`/`libc`, this
 //! module declares the three POSIX entry points it needs directly —
 //! mirroring the vendored-shim approach of `compat/loom`: the smallest
 //! possible surface, fully owned by the repo.
@@ -139,7 +139,7 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// A self-pipe: peer threads call [`WakePipe::wake`] to make the owning
+/// A self-pipe: other threads call [`WakePipe::wake`] to make the owning
 /// worker's [`poll_events`] return promptly; the worker polls
 /// [`WakePipe::read_fd`] for readability and [`WakePipe::drain`]s it.
 ///

@@ -5,15 +5,14 @@
 //! in H-Store and Redis Cluster. Such systems may also use the
 //! single-threaded version of DyTIS that does not use locks."
 //!
-//! Both deployments in this crate partition keys with [`shard_of`], so
-//! shards cover ordered, disjoint key ranges and a cross-shard scan is a
-//! simple in-order visit: `TpcServer` (one shard per event-loop worker,
-//! served over TCP) and the embedded [`DurableShardedStore`], N engine
-//! threads each owning a *lock-free-by-construction* single-threaded
-//! [`DyTis`] under the checkpoint + write-ahead-log protocol of the
-//! `durability` crate — each engine appends every mutation to its shard's
-//! WAL before applying it, clients block on the group-commit ack, and
-//! startup recovers each shard from its latest checkpoint plus log replay.
+//! [`DurableShardedStore`] partitions keys with [`shard_of`], so shards
+//! cover ordered, disjoint key ranges and a cross-shard scan is a simple
+//! in-order visit: N engine threads each owning a
+//! *lock-free-by-construction* single-threaded [`DyTis`] under the
+//! checkpoint + write-ahead-log protocol of the `durability` crate — each
+//! engine appends every mutation to its shard's WAL before applying it,
+//! clients block on the group-commit ack, and startup recovers each shard
+//! from its latest checkpoint plus log replay.
 
 use durability::{FileStorage, Seq, Wal, WalOp, WalStats};
 use dytis::{DyTis, Params};
@@ -27,9 +26,8 @@ use std::thread::JoinHandle;
 /// The shard that owns `key` among `shards` shards: contiguous, monotone
 /// key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`), so cross-shard
 /// scans visit shards in index order. The one partition function of the
-/// crate — `TpcServer` workers, the routing client and
-/// [`DurableShardedStore`] all compute it, so both sides of a connection
-/// (and both sides of a restart) agree on who owns a key.
+/// crate: [`DurableShardedStore`] computes it on every op and at recovery,
+/// so both sides of a restart agree on who owns a key.
 #[inline]
 pub fn shard_of(key: Key, shards: usize) -> usize {
     ((u128::from(key) * shards as u128) >> 64) as usize

@@ -1,13 +1,13 @@
-//! Differential testing of the `DYF1` wire: the same op stream must
-//! produce identical results whether every keyed op takes the cross-worker
-//! forwarding hop or none does (and match an in-process model), CRC damage
-//! must kill the stream rather than corrupt it, and a session that does
-//! not open with the preamble is never answered.
+//! Differential testing of the `DYF1` wire: one op stream, each op sent
+//! through a connection on whichever worker the trace picks, must match an
+//! in-process model; CRC damage must kill the stream rather than corrupt
+//! it, and a session that does not open with the preamble is never
+//! answered.
 
 #![cfg(unix)]
 
 use kvstore::frame;
-use kvstore::{BinClient, RoutedClient, ServerOptions, TpcOptions, TpcServer};
+use kvstore::{BinClient, ServerOptions, TpcOptions, TpcServer};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -54,7 +54,7 @@ impl Trace {
 
     fn next_op(&mut self) -> Op {
         // Keys from a small-ish space so GET/DEL hit often, spread over
-        // the whole u64 range so every shard participates.
+        // the whole u64 range so every first-level table participates.
         let key = (self.next_u64() % 512) * (u64::MAX / 512);
         match self.next_u64() % 10 {
             0..=4 => Op::Set(key, self.next_u64() % 1_000_000),
@@ -76,21 +76,17 @@ enum Outcome {
     Len(u64),
 }
 
-/// Runs one op through a client; `BinClient` and `RoutedClient` share
-/// method names, not a trait.
-macro_rules! run_wire {
-    ($client:expr, $op:expr) => {
-        match $op {
-            Op::Set(k, v) => {
-                $client.set(k, v).expect("set");
-                Outcome::Set
-            }
-            Op::Get(k) => Outcome::Get($client.get(k).expect("get")),
-            Op::Del(k) => Outcome::Del($client.del(k).expect("del")),
-            Op::Scan(s, n) => Outcome::Scan($client.scan(s, n).expect("scan")),
-            Op::Len => Outcome::Len($client.len().expect("len")),
+fn run_wire(client: &mut BinClient, op: Op) -> Outcome {
+    match op {
+        Op::Set(k, v) => {
+            client.set(k, v).expect("set");
+            Outcome::Set
         }
-    };
+        Op::Get(k) => Outcome::Get(client.get(k).expect("get")),
+        Op::Del(k) => Outcome::Del(client.del(k).expect("del")),
+        Op::Scan(s, n) => Outcome::Scan(client.scan(s, n).expect("scan")),
+        Op::Len => Outcome::Len(client.len().expect("len")),
+    }
 }
 
 fn run_model(model: &mut BTreeMap<u64, u64>, op: Op) -> Outcome {
@@ -106,68 +102,44 @@ fn run_model(model: &mut BTreeMap<u64, u64>, op: Op) -> Outcome {
     }
 }
 
-/// Headline differential: 2000 ops through a `BinClient` on worker 0 of a
-/// 3-worker server (about two thirds of the keyed ops forward to another
-/// worker), through a `RoutedClient` on a second server (none forward),
-/// and through a BTreeMap model — all three must agree op for op.
+/// Headline differential: 2000 ops of one seeded trace against a 3-worker
+/// server, each sent through the connection on the worker the trace picks
+/// for it, and through a BTreeMap model — the two must agree op for op,
+/// whichever worker applied each op.
 #[test]
-fn forwarded_and_routed_paths_agree_on_the_same_trace() {
-    let fwd_server = tpc(3);
-    let routed_server = tpc(3);
-    let mut fwd = BinClient::connect(fwd_server.addr()).expect("bin connect");
-    let mut routed = RoutedClient::connect(routed_server.worker_addrs()).expect("routed connect");
+fn any_worker_agrees_with_the_model_on_one_trace() {
+    let server = tpc(3);
+    let mut clients: Vec<BinClient> = server
+        .worker_addrs()
+        .iter()
+        .map(|&addr| BinClient::connect(addr).expect("connect"))
+        .collect();
+    for (i, c) in clients.iter_mut().enumerate() {
+        assert_eq!(c.hello().expect("hello"), (i as u64, 3));
+    }
     let mut model = BTreeMap::new();
 
     let mut trace = Trace::new(0xD47B_1535);
+    let mut used = [0usize; 3];
     for i in 0..2000 {
         let op = trace.next_op();
+        let w = (trace.next_u64() % 3) as usize;
+        used[w] += 1;
         let expected = run_model(&mut model, op);
-        assert_eq!(run_wire!(fwd, op), expected, "op {i} {op:?}: forwarded");
-        assert_eq!(run_wire!(routed, op), expected, "op {i} {op:?}: routed");
+        assert_eq!(
+            run_wire(&mut clients[w], op),
+            expected,
+            "op {i} {op:?} on worker {w}"
+        );
     }
-    fwd.quit().expect("bin quit");
-    routed.quit().expect("routed quit");
-    assert!(fwd_server.shutdown().drained);
-    assert!(routed_server.shutdown().drained);
-}
-
-/// The routed client: every op lands on the worker that owns its key (no
-/// forwarding hop), batches partition across all workers, and results
-/// come back in caller order.
-#[test]
-fn routed_client_round_trip() {
-    let server = tpc(3);
-    let mut r = RoutedClient::connect(server.worker_addrs()).expect("routed connect");
-    assert_eq!(r.workers(), 3);
-
-    let n = 3000u64;
-    let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i * (u64::MAX / n), i)).collect();
-    assert_eq!(r.set_batch(&pairs).expect("set_batch"), n);
-    assert_eq!(r.len().expect("len"), n);
-
-    // Shuffled key order (deterministic) — results must re-assemble.
-    let mut keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-    keys.reverse();
-    keys.push(12345); // a miss
-    let got = r.get_batch(&keys).expect("get_batch");
-    for (i, (&k, v)) in keys.iter().zip(&got).enumerate() {
-        if k == 12345 {
-            assert_eq!(*v, None, "key {k} (idx {i})");
-        } else {
-            assert_eq!(*v, Some(k / (u64::MAX / n)), "key {k} (idx {i})");
-        }
+    assert!(
+        used.iter().all(|&n| n > 500),
+        "every worker served: {used:?}"
+    );
+    for c in clients {
+        c.quit().expect("quit");
     }
-
-    // Cross-shard scan via the routed client matches the global order.
-    let scanned = r.scan(0, 100).expect("scan");
-    assert_eq!(scanned.len(), 100);
-    assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0));
-    assert_eq!(scanned[0], pairs[0]);
-
-    assert_eq!(r.del(pairs[0].0).expect("del"), Some(0));
-    assert_eq!(r.len().expect("len"), n - 1);
-    r.quit().expect("quit");
-    server.shutdown();
+    assert!(server.shutdown().drained);
 }
 
 /// Batches above one frame's worth of *responses* (GET/DEL replies carry
@@ -208,12 +180,13 @@ fn large_batches_and_scans_chunk_below_frame_limits() {
     assert_eq!(bin.len().expect("len"), 0);
     bin.quit().expect("quit");
 
-    // The routed client windows per connection as well.
-    let mut r = RoutedClient::connect(server.worker_addrs()).expect("routed connect");
-    assert_eq!(r.set_batch(&pairs).expect("routed set_batch"), n);
-    let got = r.get_batch(&keys).expect("routed get_batch");
+    // A connection on the other worker windows the same way and sees the
+    // same index.
+    let mut other = BinClient::connect(server.worker_addrs()[1]).expect("connect");
+    assert_eq!(other.set_batch(&pairs).expect("set_batch"), n);
+    let got = other.get_batch(&keys).expect("get_batch");
     assert!(got.iter().enumerate().all(|(i, v)| *v == Some(i as u64)));
-    r.quit().expect("routed quit");
+    other.quit().expect("quit");
     server.shutdown();
 }
 
@@ -374,7 +347,7 @@ fn garbled_preamble_closes() {
     server.shutdown();
 }
 
-/// Pipelined bursts keep strict request order across shards.
+/// Pipelined bursts keep strict request order across the key space.
 #[test]
 fn pipelined_binary_burst_keeps_order() {
     let server = tpc(3);

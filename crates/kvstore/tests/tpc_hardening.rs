@@ -1,16 +1,20 @@
 //! The resource envelope under attack (DESIGN.md §16): connection budget
 //! with `ERR_BUSY` admission, capped frames, idle reaping, a
 //! deadline-bounded drain, and raw wire abuse that must never be applied,
-//! leak memory or stall another connection. Every server here runs ≥ 2
-//! workers, and cases with small keys dial worker 1 (`far_conn`), so the
-//! cross-worker forwarding hop is on the path.
+//! leak memory or stall another connection; plus the served SCAN contract
+//! while another worker writes. Every server here but one runs ≥ 2 workers
+//! over one shared index, and most raw cases dial worker 1 (`far_conn`),
+//! so they run on a worker other than the one `addr()` names.
 
 #![cfg(unix)]
 
+use dytis::{ConcurrentDyTis, Params};
 use kvstore::frame;
 use kvstore::{BinClient, ServerOptions, TpcOptions, TpcServer};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tpc(workers: usize, server: ServerOptions) -> TpcServer {
@@ -31,8 +35,7 @@ fn raw_conn(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// A raw session on worker 1 of a 2-worker server: every key below `2^63`
-/// belongs to worker 0, so each keyed op takes the forwarding hop.
+/// A raw session on worker 1 of a 2-worker server.
 fn far_conn(server: &TpcServer) -> TcpStream {
     raw_conn(server.worker_addrs()[1])
 }
@@ -149,7 +152,7 @@ fn busy_rejection_at_budget_then_recovery() {
         ..ServerOptions::default()
     };
     let server = tpc(2, opts);
-    let hi = 1u64 << 63; // first key of worker 1's shard
+    let hi = 1u64 << 63;
 
     let mut c1 = BinClient::connect(server.worker_addrs()[0]).expect("connect c1");
     c1.set(1, 1).expect("c1 set");
@@ -162,8 +165,8 @@ fn busy_rejection_at_budget_then_recovery() {
     assert_eq!(err.to_string(), "server error 4: busy");
     assert_eq!(frame::ERR_BUSY, 4);
 
-    // Admitted connections were not disturbed — including cross-shard ops
-    // that forward between the two workers.
+    // Admitted connections were not disturbed, and each sees what the
+    // other worker's connection wrote.
     assert_eq!(c1.get(hi).expect("c1 get"), Some(2));
     assert_eq!(c2.get(1).expect("c2 get"), Some(1));
 
@@ -280,9 +283,8 @@ fn no_admission_after_shutdown() {
     }
 }
 
-/// Concurrent clients on different workers observe one coherent store:
-/// writes land on their key's shard regardless of which listener the
-/// client happened to dial.
+/// Concurrent clients on different workers observe one coherent store,
+/// whichever listener each client happened to dial.
 #[test]
 fn clients_on_different_workers_share_the_keyspace() {
     let server = tpc(3, ServerOptions::default());
@@ -295,8 +297,7 @@ fn clients_on_different_workers_share_the_keyspace() {
             std::thread::spawn(move || {
                 let mut c = BinClient::connect(addr).expect("connect");
                 for i in 0..100u64 {
-                    // Keys spread over the whole u64 range: most ops land
-                    // on a worker other than the connection's own.
+                    // Keys spread over the whole u64 range.
                     let k = (t as u64 * 100 + i) * (u64::MAX / 300);
                     c.set(k, t as u64 * 100 + i).expect("set");
                 }
@@ -313,7 +314,7 @@ fn clients_on_different_workers_share_the_keyspace() {
     assert_eq!(scan.len(), 300);
     assert!(
         scan.windows(2).all(|w| w[0].0 < w[1].0),
-        "cross-shard scan must be globally sorted"
+        "scan must be globally sorted"
     );
     server.shutdown();
 }
@@ -498,4 +499,158 @@ fn batched_ops_round_trip() {
     assert_eq!(c.get(1).expect("get"), Some(2));
     c.quit().expect("quit");
     server.shutdown();
+}
+
+/// One read's worth of large requests cannot queue unbounded replies:
+/// 2,000 pipelined `SCAN(i, 16384)` frames arrive in one 52,004-byte
+/// write and would answer ~512 MiB. With the client not reading, the
+/// worker stops answering at its unsent-reply high-water mark and keeps
+/// the rest of the requests unparsed. Once the client reads, all 2,000
+/// replies arrive in order, resumed as the replies drain — the client
+/// sends no further byte.
+#[test]
+fn pipelined_scan_burst_is_bounded_then_answered_in_order() {
+    const FRAMES: u64 = 2_000;
+    let rows = u64::from(frame::MAX_KEYS_PER_FRAME);
+    let v = |k: u64| k ^ 0xA5A5;
+    let server = tpc(1, ServerOptions::default());
+    let mut seed = BinClient::connect(server.addr()).expect("seed");
+    let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|k| (k, v(k))).collect();
+    assert_eq!(seed.set_batch(&pairs).expect("load"), 20_000);
+
+    let mut wire = frame::PREAMBLE.to_vec();
+    for i in 0..FRAMES {
+        frame::encode_frame(&mut wire, frame::OP_SCAN, &[i, rows]);
+    }
+    assert_eq!(wire.len(), 52_004);
+    let mut stream = silent_conn(server.addr());
+
+    #[cfg(target_os = "linux")]
+    let rss_before = rss_bytes();
+    stream.write_all(&wire).expect("burst");
+    #[cfg(target_os = "linux")]
+    {
+        let mut grown = 0;
+        for _ in 0..40 {
+            std::thread::sleep(Duration::from_millis(25));
+            grown = grown.max(rss_bytes().saturating_sub(rss_before));
+        }
+        assert!(
+            grown < 32 << 20,
+            "RSS grew by {} MiB while {FRAMES} pipelined scans went unread",
+            grown >> 20
+        );
+    }
+
+    // A server that never resumes the held-back requests fails here
+    // rather than hanging the suite.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut replies = BufReader::new(stream);
+    for i in 0..FRAMES {
+        let (header, words) = frame::read_frame(&mut replies).expect("scan reply");
+        assert_eq!(header.op, frame::RESP_SCAN, "reply {i}");
+        assert_eq!(words.len() as u64, 2 * rows, "reply {i}");
+        assert_eq!((words[0], words[1]), (i, v(i)), "reply {i} out of order");
+    }
+    assert_eq!(seed.len().expect("len"), 20_000);
+    seed.quit().expect("quit");
+    assert!(server.shutdown().drained);
+}
+
+/// The served SCAN contract (`kvstore::tpc`), over the wire, on one shared
+/// index: a writer on worker 1 SETs and DELs odd key slots while a reader
+/// on worker 0 scans. Every reply ascends strictly, every row carries its
+/// key's one value, every even (stable) key in the scanned range is
+/// present, and no key outside the written slots appears. Non-vacuous:
+/// every write lands while scans run, and the index splits meanwhile.
+#[test]
+fn scans_keep_their_contract_while_another_worker_writes() {
+    const SLOTS: u64 = 4_000;
+    const STRIDE: u64 = u64::MAX / SLOTS;
+    let f = |k: u64| k.rotate_left(17) ^ 0x5EED;
+    let opts = TpcOptions {
+        workers: 2,
+        server: ServerOptions::default(),
+    };
+    let index = ConcurrentDyTis::with_params(Params::small());
+    let server = TpcServer::with_index("127.0.0.1:0", opts, index).expect("start");
+    let addrs = server.worker_addrs().to_vec();
+    let stable: Vec<u64> = (0..SLOTS).step_by(2).map(|i| i * STRIDE).collect();
+    let mut reader = BinClient::connect(addrs[0]).expect("reader");
+    let loaded: Vec<(u64, u64)> = stable.iter().map(|&k| (k, f(k))).collect();
+    reader.set_batch(&loaded).expect("load stable keys");
+
+    let scanning = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (scanning, done) = (Arc::clone(&scanning), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut c = BinClient::connect(addrs[1]).expect("writer");
+            while !scanning.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let mut mutations = 0u64;
+            for i in (1..SLOTS).step_by(2) {
+                let k = i * STRIDE;
+                c.set(k, f(k)).expect("set");
+                mutations += 1;
+                if i % 4 == 3 {
+                    c.del(k - 2 * STRIDE).expect("del");
+                    mutations += 1;
+                }
+            }
+            done.store(true, Ordering::Release);
+            c.quit().expect("quit");
+            mutations
+        })
+    };
+
+    let before = server.maintenance_stats();
+    scanning.store(true, Ordering::Release);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut scans = 0u64;
+    while !done.load(Ordering::Acquire) {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let start = (state % SLOTS) * STRIDE + (state >> 54);
+        let count = 1 + (state >> 40) as usize % 512;
+        let rows = reader.scan(start, count).expect("scan");
+        scans += 1;
+        assert!(
+            rows.windows(2).all(|w| w[0].0 < w[1].0),
+            "scan {scans} not strictly ascending"
+        );
+        for &(k, v) in &rows {
+            assert!(k >= start, "row {k} before start {start}");
+            assert!(
+                k % STRIDE == 0 && k / STRIDE < SLOTS,
+                "never-written key {k}"
+            );
+            assert_eq!(v, f(k), "row for key {k}");
+        }
+        // The range the reply covers: to its last row when full, to the
+        // end of the key space when short.
+        let end = match rows.last() {
+            Some(&(last, _)) if rows.len() == count => last,
+            _ => u64::MAX,
+        };
+        let lo = stable.partition_point(|&k| k < start);
+        let hi = stable.partition_point(|&k| k <= end);
+        for &k in &stable[lo..hi] {
+            assert!(
+                rows.binary_search_by_key(&k, |&(rk, _)| rk).is_ok(),
+                "stable key {k} missing from scan({start}, {count})"
+            );
+        }
+    }
+    let grown = server.maintenance_stats().delta_since(&before);
+    let mutations = writer.join().expect("writer");
+    assert!(scans > 0, "no scan ran");
+    assert!(mutations >= 1_000, "writer made only {mutations} mutations");
+    assert!(grown.splits >= 1, "no split while scans ran: {grown:?}");
+    reader.quit().expect("quit");
+    assert!(server.shutdown().drained);
 }

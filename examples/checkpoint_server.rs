@@ -1,7 +1,8 @@
 //! A KV service with checkpoint/restore: the full "data management system"
 //! loop the paper's introduction motivates.
 //!
-//! Starts the thread-per-core server on DyTIS shards, ingests a review-like
+//! Starts the thread-per-core server on one shared concurrent DyTIS,
+//! ingests a review-like
 //! dataset over TCP, checkpoints the store to disk, restarts a server that
 //! serves the restored checkpoint, and reads the keys back over the wire.
 //!
@@ -12,9 +13,9 @@
 use dytis_repro::datasets::{Dataset, DatasetSpec};
 use dytis_repro::durability;
 use dytis_repro::dytis::persist;
-use dytis_repro::dytis::DyTis;
-use dytis_repro::index_traits::KvIndex;
-use dytis_repro::kvstore::{shard_of, BinClient, ServerOptions, TpcServer};
+use dytis_repro::dytis::{ConcurrentDyTis, DyTis};
+use dytis_repro::index_traits::{ConcurrentKvIndex, KvIndex};
+use dytis_repro::kvstore::{BinClient, TpcOptions, TpcServer};
 use std::fs::File;
 use std::io::BufReader;
 
@@ -29,12 +30,12 @@ fn main() {
     client.set_batch(&pairs).expect("ingest");
     assert_eq!(client.len().expect("len"), n as u64);
     println!(
-        "ingested {n} keys over TCP into {} shards",
+        "ingested {n} keys over TCP through {} workers",
         server.workers()
     );
 
-    // Phase 2: checkpoint. The shards live inside the worker threads, so
-    // the (quiesced) store is drained over the wire — `scan` chains
+    // Phase 2: checkpoint. The index lives inside the server, so the
+    // (quiesced) store is drained over the wire — `scan` chains
     // frame-sized requests until the key space is exhausted — into one
     // single-threaded index, which is published atomically as one DYTIS2
     // file.
@@ -54,23 +55,20 @@ fn main() {
     );
 
     // Phase 3: restart. Stream the checkpoint's pairs straight into one
-    // shard per worker, dealt out with the server's own partition function,
-    // and serve those shards.
-    let workers = 2;
-    let mut shards: Vec<DyTis> = (0..workers).map(|_| DyTis::new()).collect();
+    // concurrent index and serve it.
+    let index = ConcurrentDyTis::new();
     let mut r = BufReader::new(File::open(&path).expect("open"));
-    let restored = durability::read_checkpoint(&mut r, |k, v| {
-        shards[shard_of(k, workers)].insert(k, v);
-    })
-    .expect("restore");
+    let restored = durability::read_checkpoint(&mut r, |k, v| index.insert(k, v)).expect("restore");
     assert_eq!(restored, n as u64);
-    // Debug builds re-audit every restored shard before it serves.
+    // Debug builds re-audit the restored index before it serves.
     #[cfg(debug_assertions)]
-    for shard in &shards {
-        dytis_repro::index_traits::Auditable::audit(shard).assert_clean();
-    }
-    let server = TpcServer::with_shards("127.0.0.1:0", ServerOptions::default(), shards)
-        .expect("restart from checkpoint");
+    dytis_repro::index_traits::Auditable::audit(&index).assert_clean();
+    let opts = TpcOptions {
+        workers: 2,
+        ..TpcOptions::default()
+    };
+    let server =
+        TpcServer::with_index("127.0.0.1:0", opts, index).expect("restart from checkpoint");
     let mut client = BinClient::connect(server.addr()).expect("connect");
     assert_eq!(client.len().expect("len"), n as u64);
     let probe: Vec<(u64, u64)> = pairs.iter().copied().step_by(487).collect();
@@ -80,7 +78,7 @@ fn main() {
         assert_eq!(got, Some(v), "key {k} lost across the restart");
     }
     println!(
-        "restarted on {} shards from the checkpoint; {} spot checks passed over TCP",
+        "restarted {} workers from the checkpoint; {} spot checks passed over TCP",
         server.workers(),
         probe.len()
     );
