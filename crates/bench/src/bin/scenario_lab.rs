@@ -52,7 +52,7 @@ impl ScenarioTarget for NetTarget<'_> {
         out.extend(self.client.scan(start, count).expect("net scan"));
     }
     fn maintenance_stats(&mut self) -> Option<MaintenanceStats> {
-        Some(self.server.maintenance_stats())
+        Some(self.server.index().maintenance_stats())
     }
     fn target_name(&self) -> &'static str {
         "kvstore-net"

@@ -1,256 +1,100 @@
-//! Concurrent DyTIS (§3.4): one latch protocol — a directory lock over
-//! per-segment reader/writer locks (DESIGN.md §14).
+//! Concurrent DyTIS (§3.4): [`Index`] in the [`Latched`] mode — a
+//! reader/writer latch per first-level table over one per segment
+//! (DESIGN.md §14).
 //!
-//! [`ConcurrentDyTis`] owns the per-table directory lock, the reader/writer
-//! lock around every segment, the insert retry loop and the latches around
-//! split / doubling installation. The directory itself (index, doubling,
-//! split install, the §3.3 limit decision, scan step, audit, maintenance
-//! record) is the `Directory` shared with the single-threaded
-//! [`crate::DyTis`], and Algorithm 1's remap / expand / split decision is
-//! its [`Segment::repair_in_place`]; this module only adds the latches.
+//! The table, its directory, Algorithm 1's step, the split step, the scan
+//! walk and the audit are `table.rs`'s, shared with [`crate::DyTis`]. This
+//! module holds the latched insert and remove loops, and the conversion
+//! from the exclusive mode.
 //!
-//! Every operation takes the two levels in the same order: a high-level
-//! lock on the table's directory array, then a low-level reader/writer
-//! lock on one segment. `get` and `scan` take both in read mode.
+//! Every operation takes the two levels in the same order: a table latch,
+//! then one segment latch. `get` and `scan` take both in read mode.
 //! Operations that stay inside one segment (insert, remove/shrink,
-//! remapping, expansion) hold the directory *read* lock, so the directory
-//! cannot move underneath them, and the segment *write* lock. Split and
-//! directory doubling take the directory *write* lock, hand-over-hand:
-//! directory first, then the victim segment.
-//!
-//! Every segment-lock holder also holds its table's directory lock, so a
-//! directory write-lock holder never waits on a segment lock and no lock
-//! cycle can form. Scans walk the directory in key order, span by span,
-//! under the directory read lock, one segment read lock at a time.
+//! remapping, expansion) hold the table *read* latch, so neither the
+//! directory nor the arena can move underneath them, and the segment
+//! *write* latch. The split step (a split or a directory doubling) takes
+//! the table *write* latch alone: every segment-latch holder also holds
+//! its table's latch, so under the write latch no other thread holds a
+//! segment latch, and the step reaches the segment through `get_mut`. No
+//! latch cycle can form. Scans walk the directory in key order, span by
+//! span, under the table read latch, one segment read latch at a time.
 
-use crate::directory::Directory;
-use crate::params::Params;
-use crate::remap::mask64;
-use crate::segment::{BucketUpsert, Repair, Segment, MAX_INSERT_STEPS};
-use crate::stats::{DytisStats, Maint};
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Arc, RwLock};
-use index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, Value};
-use std::time::Instant;
-
-/// Index and audit-report name.
-const NAME: &str = "DyTIS (concurrent)";
-
-/// One concurrent EH table: the shared directory behind its lock, plus the
-/// key count.
-struct Table {
-    dir: RwLock<Directory<Arc<RwLock<Segment>>>>,
-    num_keys: AtomicUsize,
-}
-
-impl Table {
-    fn new(m_total: u32, params: &Params) -> Self {
-        let first = Arc::new(RwLock::new(Segment::new(0)));
-        Table {
-            dir: RwLock::new(Directory::new(m_total, first, params)),
-            num_keys: AtomicUsize::new(0),
-        }
-    }
-
-    /// Counts one inserted key. Must be called while the lock that
-    /// covered the bucket mutation is still held, so the audit (which
-    /// holds the segment lock) never sees the key without the count.
-    fn key_added(&self) {
-        // Release pairs with the Acquire loads in `len()`, the scans'
-        // empty-table check and the audit.
-        self.num_keys.fetch_add(1, Ordering::Release);
-    }
-
-    /// Counts one removed key; same locking contract as `key_added`.
-    fn key_removed(&self) {
-        // Release pairs with the Acquire loads in `len()` and the audit.
-        self.num_keys.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Acquire pairs with the Release key-count updates, so a table
-    /// observed non-empty has its inserts visible to the caller's probes.
-    fn keys(&self) -> usize {
-        self.num_keys.load(Ordering::Acquire)
-    }
-}
+use crate::segment::MAX_INSERT_STEPS;
+use crate::sync::atomic::Ordering;
+use crate::sync::RwLock;
+use crate::table::{insert_step, remove_step, Latched, Mode, Owned, Step, Table};
+use crate::{DyTis, Index};
+use index_traits::{ConcurrentKvIndex, Key, Value};
 
 /// The multi-threaded DyTIS index of §3.4 (used by the Figure 12
-/// evaluation): one reader/writer lock per segment under a per-table
-/// directory lock; see the module docs.
-pub struct ConcurrentDyTis {
-    params: Params,
-    tables: Vec<Table>,
-    m_total: u32,
-    /// Times an insert lost its fast path to contention or a pending
-    /// structural fix and had to retry through `maintain`.
-    insert_retries: AtomicU64,
+/// evaluation, and served by `kvstore::TpcServer`): [`Index`] in the
+/// [`Latched`] mode; see the module docs.
+pub type ConcurrentDyTis = Index<Latched>;
+
+impl From<DyTis> for ConcurrentDyTis {
+    /// Moves every table and segment of `idx` into a latch. No key is
+    /// copied and no decision is re-made: the directories, the §3.3 limit
+    /// state and the maintenance records move as they are, so a restored
+    /// checkpoint or a bulk load is served without a second build path.
+    /// Arenas keep their capacity, so the two modes' `memory_bytes` differ
+    /// by the latches alone.
+    fn from(idx: DyTis) -> Self {
+        let mut tables = Vec::with_capacity(idx.tables.capacity());
+        for Owned(t) in idx.tables {
+            let mut segs = Vec::with_capacity(t.segs.capacity());
+            segs.extend(t.segs.into_iter().map(|Owned(s)| RwLock::new(s)));
+            tables.push(RwLock::new(Table {
+                dir: t.dir,
+                segs,
+                num_keys: t.num_keys,
+            }));
+        }
+        Index {
+            params: idx.params,
+            tables,
+            generation: 0,
+            insert_retries: idx.insert_retries,
+        }
+    }
 }
 
 impl ConcurrentDyTis {
-    /// Creates an index with the paper's default parameters.
-    pub fn new() -> Self {
-        Self::with_params(Params::default())
-    }
-
-    /// Creates an index with explicit [`Params`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_level_bits` is outside `1..=16`.
-    pub fn with_params(params: Params) -> Self {
-        let r = params.first_level_bits;
-        assert!((1..=16).contains(&r));
-        let tables = (0..(1usize << r))
-            .map(|_| Table::new(64 - r, &params))
-            .collect();
-        ConcurrentDyTis {
-            params,
-            tables,
-            m_total: 64 - r,
-            insert_retries: AtomicU64::new(0),
-        }
-    }
-
-    /// The maintenance record summed over all first-level tables —
-    /// operation counts, keys moved and per-operation time, as
-    /// [`crate::DyTis::stats`] reports them. Exact once writers have
-    /// quiesced.
-    pub fn stats(&self) -> DytisStats {
-        let mut acc = DytisStats::default();
-        for t in &self.tables {
-            acc.merge(&t.dir.read().record.snapshot());
-        }
-        acc
-    }
-
-    /// Totals of the structural maintenance operations performed so far
-    /// (splits, segment expansions, remaps, directory doublings, shrinks,
-    /// keys moved): [`ConcurrentDyTis::stats`] without the times.
-    pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
-        self.stats().ops
-    }
-
-    /// Times an insert had to retry through the slow path (see field doc).
-    pub fn insert_retries(&self) -> u64 {
-        // relaxed: monotonic advisory counter.
-        self.insert_retries.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn table_of(&self, key: Key) -> usize {
-        (key >> (64 - self.params.first_level_bits)) as usize
-    }
-
-    #[inline]
-    fn sub_key(&self, key: Key) -> u64 {
-        key & mask64(self.m_total)
-    }
-
-    /// Bucket index of sub-key `sk` within `seg`.
-    fn bucket_of(&self, seg: &Segment, sk: u64) -> usize {
-        seg.bucket_of(seg.local_key(sk, self.m_total), self.m_total)
-    }
-
-    /// Slow path: one structural step under the directory write lock —
-    /// doubling the directory when the victim is at global depth, then
-    /// splitting it — and returns so the fast path can retry.
-    fn maintain(&self, table: &Table, sk: u64) {
-        let mut dir = table.dir.write();
-        let victim = Arc::clone(dir.entry(sk));
-        // Every segment-lock holder also holds the directory lock, so this
-        // acquisition never blocks.
-        let seg = victim.write();
-        if seg.bucket_len(self.bucket_of(&seg, sk)) < self.params.bucket_entries {
-            return; // Another thread already fixed it.
-        }
-        // The fast path already ran Algorithm 1 on this segment and found
-        // no in-place repair.
-        let p = &self.params;
-        if seg.local_depth == dir.global_depth() {
-            dir.double(p);
-        }
-        let t0 = Instant::now();
-        let (left, right) = seg.split(self.m_total, p);
-        let (left, right) = (Arc::new(RwLock::new(left)), Arc::new(RwLock::new(right)));
-        let idx = dir.index(sk);
-        dir.install_split(idx, seg.local_depth, left, right);
-        dir.record.note(Maint::Split, seg.num_keys as u64, t0);
-    }
-
-    /// Scans one table from `start` (or from its first key when `None`)
-    /// in key order; returns `true` when `count` pairs have been collected.
-    fn scan_table(
-        &self,
-        table: &Table,
-        start: Option<(u64, Key)>,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        let dir = table.dir.read();
-        if table.keys() == 0 {
-            return out.len() >= count;
-        }
-        let mut idx = start.map_or(0, |(sk, _)| dir.index(sk));
-        let mut first = start;
-        while idx < dir.entries().len() {
-            let seg = dir.entries()[idx].read();
-            let (b, slot) = first
-                .take()
-                .map_or((0, 0), |(sk, key)| seg.seek(sk, key, self.m_total));
-            if seg.walk_from(b, slot, count, out).is_some() {
-                return true;
-            }
-            idx = dir.next_index(idx, seg.local_depth);
-        }
-        out.len() >= count
-    }
-
     /// Intentionally broken insert, compiled only for model checking:
     /// proves the loom models are non-vacuous.
     ///
     /// Identical to [`index_traits::ConcurrentKvIndex::insert`] except the
-    /// table key count is bumped *after* the segment lock is dropped, and
+    /// table key count is bumped *after* the segment latch is dropped, and
     /// with a torn `load`+`store` instead of `fetch_add` — the "it's just a
     /// counter" shortcut the §3.4 protocol forbids. The loom model in
     /// `tests/loom_models.rs` must find the two-thread schedule where one
     /// increment is lost (`len()` under-counts, the `table-key-count`
     /// audit trips). Callers must pick keys that fit the existing buckets;
-    /// the maintenance slow path is deliberately not reproduced here.
+    /// the split step is deliberately not reproduced here.
     #[cfg(loom)]
     pub fn insert_seeded_torn_counter(&self, key: Key, value: Value) {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
+        let (table, sk) = (&self.tables[self.table_of(key)], self.sub_key(key));
+        let t = table.read();
         let inserted = {
-            let dir = table.dir.read();
-            let mut seg = dir.entry(sk).write();
-            let b = self.bucket_of(&seg, sk);
-            match seg.upsert_in_bucket(b, key, value, self.params.bucket_entries) {
-                BucketUpsert::Inserted => true,
-                BucketUpsert::Updated => false,
-                BucketUpsert::Full => panic!("seeded-bug insert requires a key that fits"),
+            let mut seg = t.segs[t.dir.entry(sk) as usize].write();
+            match insert_step(&t.dir, &mut seg, sk, key, value, &self.params) {
+                Step::Inserted => true,
+                Step::Updated => false,
+                _ => panic!("seeded-bug insert requires a key that fits"),
             }
         };
         if inserted {
-            // BUG (seeded): torn read-modify-write outside the critical
-            // section — a concurrent insert between the load and the store
+            // BUG (seeded): torn read-modify-write outside the segment
+            // latch — a concurrent insert between the load and the store
             // loses an increment.
-            let n = table.num_keys.load(Ordering::Acquire);
-            table.num_keys.store(n + 1, Ordering::Release);
+            let n = t.num_keys.load(Ordering::Acquire);
+            t.num_keys.store(n + 1, Ordering::Release);
         }
-    }
-}
-
-impl Default for ConcurrentDyTis {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl ConcurrentKvIndex for ConcurrentDyTis {
     fn insert(&self, key: Key, value: Value) {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let p = &self.params;
+        let (table, sk) = (&self.tables[self.table_of(key)], self.sub_key(key));
         let mut steps = 0u32;
         loop {
             steps += 1;
@@ -258,95 +102,64 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
                 steps < MAX_INSERT_STEPS,
                 "concurrent insert failed to converge"
             );
-            let repaired = {
-                let dir = table.dir.read();
-                let mut seg = dir.entry(sk).write();
-                let k = seg.local_key(sk, self.m_total);
-                let b = seg.bucket_of(k, self.m_total);
-                match seg.upsert_in_bucket(b, key, value, p.bucket_entries) {
-                    BucketUpsert::Updated => return,
-                    BucketUpsert::Inserted => {
-                        table.key_added();
+            {
+                let t = table.read();
+                let mut seg = t.segs[t.dir.entry(sk) as usize].write();
+                match insert_step(&t.dir, &mut seg, sk, key, value, &self.params) {
+                    Step::Updated => return,
+                    Step::Inserted => {
+                        // Counted under the segment latch (see
+                        // `Table::num_keys`); Release pairs with the
+                        // Acquire in `Table::len`.
+                        t.num_keys.fetch_add(1, Ordering::Release);
                         return;
                     }
-                    // Segment-local fixes (remapping, expansion) only change
-                    // this segment object's contents, so they are legal under
-                    // the directory read lock + segment write lock held here;
-                    // splits and doubling need the directory write lock.
-                    BucketUpsert::Full => {
-                        let (gd, cap) = (dir.global_depth(), dir.segment_cap(seg.local_depth, p));
-                        let repair = seg.repair_in_place(k, gd, self.m_total, cap, p, &dir.record);
-                        repair != Repair::NeedsSplit
-                    }
+                    // Repairs strictly grow the bucket's capacity share.
+                    Step::Repaired => continue,
+                    Step::NeedsSplit => {}
                 }
-            };
-            if repaired {
-                continue; // Repairs strictly grow the bucket's capacity share.
             }
-            // relaxed: monotonic advisory counter (lock-acquisition retries).
+            // relaxed: monotonic advisory counter (split-step trips).
             self.insert_retries.fetch_add(1, Ordering::Relaxed);
             obs::counter!("cdytis.insert_retries").inc();
-            self.maintain(table, sk);
+            let mut t = table.write();
+            let t = &mut *t;
+            // Recheck: another thread may have fixed the bucket between
+            // the two latches.
+            let m_total = t.dir.m_total();
+            let seg = t.segs[t.dir.entry(sk) as usize].get_mut();
+            let b = seg.bucket_of(seg.local_key(sk, m_total), m_total);
+            if seg.bucket_len(b) >= self.params.bucket_entries {
+                t.split_step(sk, &self.params);
+            }
         }
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let dir = table.dir.read();
-        let seg = dir.entry(sk).read();
-        seg.get(sk, key, self.m_total, &self.params)
+        self.lookup(key)
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let dir = table.dir.read();
-        let mut seg = dir.entry(sk).write();
-        let b = self.bucket_of(&seg, sk);
-        let v = seg.remove_from_bucket(b, key)?;
-        table.key_removed();
-        // Deletion merge (§3.3): a shrink only changes the segment object's
-        // contents, so the segment write lock suffices (§3.4).
-        seg.shrink_if_sparse(self.m_total, &self.params, &dir.record);
+        let (table, sk) = (&self.tables[self.table_of(key)], self.sub_key(key));
+        let t = table.read();
+        let mut seg = t.segs[t.dir.entry(sk) as usize].write();
+        let v = remove_step(&t.dir, &mut seg, sk, key, &self.params)?;
+        // Uncounted under the segment latch, as `insert` counts; Release
+        // pairs with the Acquire in `Table::len`.
+        t.num_keys.fetch_sub(1, Ordering::Release);
         Some(v)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
-        let first = self.table_of(start);
-        let from = Some((self.sub_key(start), start));
-        if self.scan_table(&self.tables[first], from, count, out) {
-            return;
-        }
-        for t in &self.tables[first + 1..] {
-            if self.scan_table(t, None, count, out) {
-                return;
-            }
-        }
+        self.scan_into(start, count, out);
     }
 
     fn len(&self) -> usize {
-        self.tables.iter().map(Table::keys).sum()
+        self.key_count()
     }
 
     fn name(&self) -> &'static str {
-        NAME
-    }
-}
-
-impl Auditable for ConcurrentDyTis {
-    /// Deep audit under the documented lock order: per table, the directory
-    /// read lock is taken first, then each segment's read lock in directory
-    /// order (one at a time). Must not be called by a thread already
-    /// holding one of this index's locks.
-    fn audit(&self) -> AuditReport {
-        let mut report = AuditReport::new(NAME);
-        for (t, table) in self.tables.iter().enumerate() {
-            let dir = table.dir.read();
-            let keys = Some((&self.params, table.keys()));
-            dir.audit(t, keys, &mut report, Arc::ptr_eq, |e| Some(e.read()));
-        }
-        report
+        Latched::NAME
     }
 }
 
@@ -354,6 +167,8 @@ impl Auditable for ConcurrentDyTis {
 mod tests {
     use super::*;
     use crate::directory::TABLE_KEY_COUNT;
+    use crate::{Exclusive, Params};
+    use index_traits::Auditable;
     use std::sync::Arc as StdArc;
 
     const SCRAMBLE: u64 = 0x9E3779B97F4A7C15;
@@ -514,11 +329,8 @@ mod tests {
 
     #[test]
     fn audit_detects_corrupted_segment_key_count() {
-        let idx = audited();
-        {
-            let dir = idx.tables[0].dir.read();
-            dir.entries()[0].write().num_keys += 1;
-        }
+        let mut idx = audited();
+        idx.tables[0].get_mut().segs[0].get_mut().num_keys += 1;
         assert!(violates(&idx, &["segment-key-count", TABLE_KEY_COUNT]));
     }
 
@@ -594,45 +406,68 @@ mod tests {
         ]
     }
 
-    /// `DyTis` and `ConcurrentDyTis` share the directory, Algorithm 1
-    /// (`Segment::repair_in_place`), the shrink rule and the maintenance
-    /// record but keep their own insert loops: the same stream, then the
-    /// removal of seven keys in eight, must make the same maintenance
-    /// decisions, and record the same keys moved, through both. (Removing
-    /// every other key leaves segments near half full, above
-    /// `shrink_threshold`, and shrinks nothing.)
+    /// The §3.3 limit multiplier of every table.
+    fn limits<M: Mode>(idx: &Index<M>) -> Vec<u32> {
+        let limit = |t: &M::Cell<crate::table::Table<M>>| M::read(t).active_limit_mult();
+        idx.tables.iter().map(limit).collect()
+    }
+
+    /// Asserts that each latched index in `others` made the exclusive
+    /// `single`'s maintenance decisions and holds its pairs, and that all
+    /// of them audit clean.
+    fn agree(name: &str, single: &crate::DyTis, others: [&ConcurrentDyTis; 2]) {
+        use index_traits::KvIndex;
+        let mut want = Vec::new();
+        single.scan(0, usize::MAX, &mut want);
+        single.audit().assert_clean();
+        for (arm, idx) in ["latched", "converted"].into_iter().zip(others) {
+            assert_eq!(limits(single), limits(idx), "{name}/{arm}");
+            let (a, b) = (single.maintenance_stats(), idx.maintenance_stats());
+            assert_eq!(a, b, "{name}/{arm}");
+            let mut got = Vec::new();
+            idx.scan(0, usize::MAX, &mut got);
+            assert_eq!(want, got, "{name}/{arm}");
+            idx.audit().assert_clean();
+        }
+    }
+
+    /// `DyTis` and `ConcurrentDyTis` share Algorithm 1's step, the split
+    /// step and the shrink rule but run them from their own loops: the
+    /// same stream, then the removal of seven keys in eight, must make the
+    /// same maintenance decisions, and record the same keys moved, through
+    /// the exclusive mode, the latched mode, and an index that took the
+    /// first half in the exclusive mode and the rest, with the removals,
+    /// after conversion (`From`). (Removing every other key leaves
+    /// segments near half full, above `shrink_threshold`, and shrinks
+    /// nothing.)
     #[test]
     fn dytis_and_concurrent_agree_on_maintenance_decisions() {
         use index_traits::KvIndex;
         for (name, keys) in streams() {
             let mut single = crate::DyTis::with_params(Params::small());
-            let shell = small();
+            let (shell, mut half) = (small(), crate::DyTis::with_params(Params::small()));
+            let mid = keys.len() / 2;
             for (i, &k) in keys.iter().enumerate() {
                 single.insert(k, i as u64);
                 shell.insert(k, i as u64);
+                if i < mid {
+                    half.insert(k, i as u64);
+                }
             }
-            let single_limits: Vec<u32> = single
-                .tables
-                .iter()
-                .map(|t| t.active_limit_mult())
-                .collect();
-            let limit = |t: &Table| t.dir.read().active_limit_mult();
-            let shell_limits: Vec<u32> = shell.tables.iter().map(limit).collect();
+            let converted = ConcurrentDyTis::from(half);
+            for (i, &k) in keys.iter().enumerate().skip(mid) {
+                converted.insert(k, i as u64);
+            }
             if name == "scrambled" {
                 assert!(
-                    shell_limits.contains(&Params::small().limit_mult_raised),
+                    limits(&shell).contains(&Params::small().limit_mult_raised),
                     "stream never raised the adaptive limit"
                 );
             }
-            assert_eq!(single_limits, shell_limits, "{name}");
-            let (a, b) = (single.stats().ops, shell.maintenance_stats());
-            assert_eq!(
-                (a.splits, a.expansions, a.remaps, a.doublings),
-                (b.splits, b.expansions, b.remaps, b.doublings),
-                "{name}"
+            assert!(
+                shell.maintenance_stats().keys_moved > 0,
+                "{name}: no keys moved"
             );
-            assert!(b.keys_moved > 0, "{name}: no keys moved");
-            assert_eq!(a.keys_moved, b.keys_moved, "{name}");
             let times = shell.stats().times;
             assert!(
                 times.split_ns > 0 && times.doubling_ns > 0,
@@ -643,31 +478,18 @@ mod tests {
             } else {
                 assert!(times.remap_ns > 0, "{name}: {times:?}");
             }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            single.scan(0, usize::MAX, &mut a);
-            shell.scan(0, usize::MAX, &mut b);
-            assert_eq!(a.len(), keys.len(), "{name}");
-            assert_eq!(a, b, "{name}");
+            assert_eq!(single.len(), keys.len(), "{name}");
+            agree(name, &single, [&shell, &converted]);
             for (i, &k) in keys.iter().enumerate().filter(|(i, _)| i % 8 != 0) {
                 assert_eq!(single.remove(k), Some(i as u64), "{name}");
                 assert_eq!(shell.remove(k), Some(i as u64), "{name}");
+                assert_eq!(converted.remove(k), Some(i as u64), "{name}");
             }
-            let (a, b) = (
-                single.stats().ops.shrinks,
-                shell.maintenance_stats().shrinks,
-            );
-            assert!(a > 0, "{name}: removals never shrank a segment");
-            assert_eq!(a, b, "{name}");
+            let shrinks = single.stats().ops.shrinks;
+            assert!(shrinks > 0, "{name}: removals never shrank a segment");
             assert!(shell.stats().times.shrink_ns > 0, "{name}");
-            let moved = (single.stats().ops.keys_moved, shell.stats().ops.keys_moved);
-            assert_eq!(moved.0, moved.1, "{name}");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            single.scan(0, usize::MAX, &mut a);
-            shell.scan(0, usize::MAX, &mut b);
-            assert_eq!(a.len(), keys.len() / 8, "{name}");
-            assert_eq!(a, b, "{name}");
-            single.audit().assert_clean();
-            shell.audit().assert_clean();
+            assert_eq!(single.len(), keys.len() / 8, "{name}");
+            agree(name, &single, [&shell, &converted]);
         }
     }
 
@@ -689,5 +511,79 @@ mod tests {
             assert_eq!(got, want, "{name}");
             assert_eq!(s.shrinks, 0, "{name}");
         }
+    }
+
+    /// A checkpoint written from the served index, recovered, then
+    /// converted, serves the same pairs.
+    #[test]
+    fn served_checkpoint_recovers_through_conversion() {
+        let idx = small();
+        for k in 0..6_000u64 {
+            idx.insert(k.wrapping_mul(SCRAMBLE), k);
+        }
+        for k in 0..1_000u64 {
+            idx.remove(k.wrapping_mul(SCRAMBLE));
+        }
+        let dir = std::env::temp_dir().join(format!("dytis-served-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let (ckpt, log) = (dir.join("idx.ckpt"), dir.join("idx.wal"));
+        crate::persist::write_checkpoint(&idx, &ckpt).expect("checkpoint");
+        let (restored, rec) =
+            crate::persist::recover(&ckpt, &log, Params::small()).expect("recover");
+        assert_eq!(rec.replayed, 0);
+        let restored = ConcurrentDyTis::from(restored);
+        assert_eq!(restored.len(), idx.len());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        idx.scan(0, usize::MAX, &mut want);
+        restored.scan(0, usize::MAX, &mut got);
+        assert_eq!(want.len(), 5_000);
+        assert_eq!(got, want);
+        restored.audit().assert_clean();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bulk-built index, converted, answers every key and keeps taking
+    /// inserts through the latched path.
+    #[test]
+    fn bulk_load_then_conversion_answers_every_key() {
+        let mut keys: Vec<u64> = (0..20_000u64).map(|k| k.wrapping_mul(SCRAMBLE)).collect();
+        keys.sort_unstable();
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 7)).collect();
+        let idx =
+            ConcurrentDyTis::from(crate::DyTis::bulk_load_with_params(&pairs, Params::small()));
+        assert_eq!(idx.len(), pairs.len());
+        for &(k, v) in &pairs {
+            assert_eq!(idx.get(k), Some(v), "key {k:#x}");
+        }
+        for k in 0..2_000u64 {
+            idx.insert(k * 3 + 1, k);
+        }
+        assert_eq!(idx.len(), pairs.len() + 2_000);
+        idx.audit().assert_clean();
+    }
+
+    /// Converting moves the cells and copies nothing else: the served
+    /// face's `memory_bytes` exceeds the exclusive face's by exactly the
+    /// latches around every table and every arena slot.
+    #[test]
+    fn memory_bytes_differ_by_the_latches_alone() {
+        use crate::segment::Segment;
+        use crate::table::Table;
+        use index_traits::KvIndex;
+        use std::mem::size_of;
+        let mut single = crate::DyTis::with_params(Params::small());
+        for k in 0..6_000u64 {
+            single.insert(k.wrapping_mul(SCRAMBLE), k);
+        }
+        let tables = single.tables.capacity();
+        let slots: usize = single.tables().map(|t| t.segs.capacity()).sum();
+        let before = single.memory_bytes();
+        let served = ConcurrentDyTis::from(single);
+        let table_latch = size_of::<RwLock<Table<Latched>>>() - size_of::<Table<Exclusive>>();
+        let seg_latch = size_of::<RwLock<Segment>>() - size_of::<Segment>();
+        assert!(table_latch > 0 && seg_latch > 0);
+        let want = before + tables * table_latch + slots * seg_latch;
+        assert_eq!(served.memory_bytes(), want);
     }
 }

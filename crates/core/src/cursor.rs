@@ -1,14 +1,13 @@
 //! Resumable structural scan cursor.
 //!
-//! `DyTis::scan` used to re-enter each first-level table through its
-//! `scan`/`scan_from_start` entry points, and `DyTis::range` re-ran the
-//! whole descent — first-level table, directory lookup, remapping
-//! prediction, bucket lower bound — once per 256-key batch. A
-//! [`ScanCursor`] pays that positioning cost once: because bucket indices
-//! are monotone in the key (§3.2), one remap prediction plus one branchless
-//! lower bound lands on the first qualifying pair, and everything after it
-//! in structural order (table → directory span → bucket → slot) already
-//! satisfies the predicate. Resuming is O(1).
+//! `DyTis::range` used to re-run the whole descent — first-level table,
+//! directory lookup, remapping prediction, bucket lower bound — once per
+//! 256-key batch. A [`ScanCursor`] pays that positioning cost once:
+//! because bucket indices are monotone in the key (§3.2), one remap
+//! prediction plus one branchless lower bound lands on the first
+//! qualifying pair, and everything after it in structural order (table →
+//! directory span → bucket → slot) already satisfies the predicate.
+//! Resuming is O(1).
 //!
 //! # Invalidation
 //!
@@ -22,7 +21,11 @@
 //! [`DyTis::scan_cursor`] time and returns [`CursorInvalidated`] instead of
 //! walking stale structure. [`DyTis::resume_cursor`] restarts cleanly from
 //! just past the last yielded key.
+//!
+//! The cursor belongs to the exclusive mode only: the check relies on
+//! every mutation taking `&mut self`, and a latched write takes `&self`.
 
+use crate::table::{Exclusive, Table};
 use crate::DyTis;
 use index_traits::{Key, Value};
 
@@ -82,7 +85,7 @@ impl DyTis {
     /// Creates a cursor positioned at the first pair with key `>= start`.
     pub fn scan_cursor(&self, start: Key) -> ScanCursor {
         let table = self.table_of(start);
-        let pos = self.tables[table].cursor_position(self.sub_key(start), start);
+        let pos = self.tables[table].0.position(self.sub_key(start), start);
         ScanCursor {
             table,
             pos: Some(pos),
@@ -115,7 +118,7 @@ impl DyTis {
         // A re-entered cursor starts cold: hint its resume bucket in while
         // the walk below re-derives the structural position.
         if let Some((idx, b, _)) = cur.pos {
-            self.tables[cur.table].prefetch_position(idx, b);
+            self.tables[cur.table].0.prefetch(idx, b);
         }
         let before = out.len();
         let more = loop {
@@ -125,12 +128,12 @@ impl DyTis {
             if cur.exhausted {
                 break false;
             }
-            let table = &self.tables[cur.table];
+            let table = &self.tables[cur.table].0;
             let walked = match cur.pos {
-                Some(pos) => table.cursor_walk(pos, count, out),
+                Some((idx, b, slot)) => table.walk(idx, |_| (b, slot), count, out),
                 // Empty tables are skipped without touching their directory.
                 None if table.is_empty() => None,
-                None => table.cursor_walk((0, 0, 0), count, out),
+                None => table.walk(0, |_| (0, 0), count, out),
             };
             match walked {
                 Some(pos) => cur.pos = Some(pos),
@@ -177,6 +180,35 @@ impl DyTis {
                 fresh
             }
             None => self.scan_cursor(cur.start),
+        }
+    }
+}
+
+impl Table<Exclusive> {
+    /// Structural position (directory index, bucket, slot) of the first
+    /// pair with key `>= start_key` (sub-key `start_sk`): one directory
+    /// lookup, then [`crate::segment::Segment::seek`]. Every pair at or
+    /// after this position has a key `>= start_key`, so a scan resumed
+    /// from such a position never needs to re-predict.
+    fn position(&self, start_sk: u64, start_key: Key) -> (usize, usize, usize) {
+        let idx = self.dir.index(start_sk);
+        let seg = &self.segs[self.dir.entries()[idx] as usize].0;
+        let (b, slot) = seg.seek(start_sk, start_key, self.dir.m_total());
+        (idx, b, slot)
+    }
+
+    /// Cache hint for a resume position: pulls the bucket the next
+    /// [`Table::walk`] will start from into cache ahead of the walk's
+    /// directory work (see [`DyTis::scan_next`]).
+    fn prefetch(&self, idx: usize, b: usize) {
+        let seg = self
+            .dir
+            .entries()
+            .get(idx)
+            .map(|&id| &self.segs[id as usize].0);
+        if let Some(bucket) = seg.and_then(|s| s.buckets.get(b)) {
+            crate::simd::prefetch_slice(bucket.keys());
+            crate::simd::prefetch_slice(bucket.vals());
         }
     }
 }

@@ -1,14 +1,12 @@
-//! The extendible-hash directory of one second-level table (§3.1–§3.3),
-//! shared by both indexes.
+//! The extendible-hash directory of one second-level table (§3.1–§3.3).
 //!
 //! [`Directory`] holds the `2^GD` entries, the global depth, the §3.3
-//! segment-size limit state and the table's [`MaintRecord`]. `EhTable`
-//! uses it with `E = SegId` over its segment arena, `ConcurrentDyTis` with
-//! `E = Arc<RwLock<Segment>>` inside its directory lock (§3.4 adds only
-//! the latches). Entry `i` names the segment holding the sub-keys whose
-//! top `GD` bits equal `i`; a segment at local depth `LD` fills an aligned
-//! span of `2^(GD − LD)` entries, so key order is directory order and a
-//! scan steps from span to span.
+//! segment-size limit state and the table's [`MaintRecord`]. Each entry is
+//! a [`SegId`], an index into the segment arena of its `table::Table`, in
+//! either latch mode. Entry `i` names the segment holding the sub-keys
+//! whose top `GD` bits equal `i`; a segment at local depth `LD` fills an
+//! aligned span of `2^(GD − LD)` entries, so key order is directory order
+//! and a scan steps from span to span.
 
 use crate::audit::{audit_segment, segment_key_bounds};
 use crate::params::Params;
@@ -23,13 +21,16 @@ use std::time::Instant;
 /// seeded-corruption tests cannot drift from the audit.
 pub(crate) const TABLE_KEY_COUNT: &str = "table-key-count";
 
+/// Index of a segment in its table's arena.
+pub(crate) type SegId = u32;
+
 /// One second-level table's directory; see the module docs.
 #[derive(Debug, Clone)]
-pub(crate) struct Directory<E> {
+pub(crate) struct Directory {
     /// Number of sub-key bits the table indexes (`n − R`).
     m_total: u32,
     global_depth: u32,
-    entries: Vec<E>,
+    entries: Vec<SegId>,
     /// Active segment-size limit multiplier (`Limit_seg`, §3.3).
     active_limit_mult: u32,
     /// Whether the adaptive limit decision has been made.
@@ -38,17 +39,22 @@ pub(crate) struct Directory<E> {
     pub(crate) record: MaintRecord,
 }
 
-impl<E: Clone> Directory<E> {
-    /// A one-entry directory (`GD = 0`) naming `first`.
-    pub(crate) fn new(m_total: u32, first: E, params: &Params) -> Self {
-        Self::built(m_total, 0, vec![first], params)
+impl Directory {
+    /// A one-entry directory (`GD = 0`) naming segment 0.
+    pub(crate) fn new(m_total: u32, params: &Params) -> Self {
+        Self::built(m_total, 0, vec![0], params)
     }
 
     /// A directory of `2^global_depth` `entries` laid out by a bulk build.
     /// A build that already reaches `L_start + 2` has no maintenance
     /// history to decide the §3.3 limit from, so it counts as decided, at
     /// the default `limit_mult`.
-    pub(crate) fn built(m_total: u32, global_depth: u32, entries: Vec<E>, params: &Params) -> Self {
+    pub(crate) fn built(
+        m_total: u32,
+        global_depth: u32,
+        entries: Vec<SegId>,
+        params: &Params,
+    ) -> Self {
         assert!((1..=63).contains(&m_total));
         debug_assert_eq!(entries.len(), 1usize << global_depth);
         Directory {
@@ -82,7 +88,7 @@ impl<E: Clone> Directory<E> {
 
     /// All `2^GD` entries, in key order.
     #[inline]
-    pub(crate) fn entries(&self) -> &[E] {
+    pub(crate) fn entries(&self) -> &[SegId] {
         &self.entries
     }
 
@@ -92,10 +98,10 @@ impl<E: Clone> Directory<E> {
         (sk >> (self.m_total - self.global_depth)) as usize
     }
 
-    /// The entry naming the segment of sub-key `sk`.
+    /// The segment of sub-key `sk`.
     #[inline]
-    pub(crate) fn entry(&self, sk: u64) -> &E {
-        &self.entries[self.index(sk)]
+    pub(crate) fn entry(&self, sk: u64) -> SegId {
+        self.entries[self.index(sk)]
     }
 
     /// `Limit_seg(LD)` in buckets under the active multiplier.
@@ -110,9 +116,9 @@ impl<E: Clone> Directory<E> {
     pub(crate) fn double(&mut self, params: &Params) {
         let t0 = Instant::now();
         let mut doubled = Vec::with_capacity(self.entries.len() * 2);
-        for e in &self.entries {
-            doubled.push(e.clone());
-            doubled.push(e.clone());
+        for &e in &self.entries {
+            doubled.push(e);
+            doubled.push(e);
         }
         self.entries = doubled;
         self.global_depth += 1;
@@ -127,7 +133,7 @@ impl<E: Clone> Directory<E> {
     /// Points the directory range of a segment split at local depth `ld`
     /// (any of its entries is `idx`; `ld < GD`) at its halves: the lower
     /// half of the range at `left`, the upper half at `right`.
-    pub(crate) fn install_split(&mut self, idx: usize, ld: u32, left: E, right: E) {
+    pub(crate) fn install_split(&mut self, idx: usize, ld: u32, left: SegId, right: SegId) {
         debug_assert!(ld < self.global_depth);
         let span = 1usize << (self.global_depth - ld - 1);
         let base = idx & !(span * 2 - 1);
@@ -146,24 +152,22 @@ impl<E: Clone> Directory<E> {
 
     /// Heap bytes of the entry array.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<E>()
+        self.entries.capacity() * std::mem::size_of::<SegId>()
     }
 
     /// Audits table `table`'s directory, visiting each segment once in key
     /// order through `segment` (`None` for an entry that names no live
     /// segment: `dir-dangling`): the directory size, and per segment its
-    /// local depth and the alignment and coverage of its span (`same`
-    /// tells whether two entries name one segment). `keys`, the parameters
-    /// and the key count the table claims, adds the deep part: every
-    /// segment's contents, the key range its prefix allows, key order
-    /// across segments, and the key count.
-    pub(crate) fn audit<'a, S: Deref<Target = Segment>>(
-        &'a self,
+    /// local depth and the alignment and coverage of its span. `keys`, the
+    /// parameters and the key count the table claims, adds the deep part:
+    /// every segment's contents, the key range its prefix allows, key
+    /// order across segments, and the key count.
+    pub(crate) fn audit<S: Deref<Target = Segment>>(
+        &self,
         table: usize,
         keys: Option<(&Params, usize)>,
         report: &mut AuditReport,
-        same: impl Fn(&E, &E) -> bool,
-        segment: impl Fn(&'a E) -> Option<S>,
+        segment: impl Fn(SegId) -> Option<S>,
     ) {
         let (gd, n) = (self.global_depth, self.entries.len());
         let at = |idx: usize| format!("table {table} / dir[{idx}]");
@@ -171,7 +175,7 @@ impl<E: Clone> Directory<E> {
         report.check(n == 1usize << gd, "dir-size", size);
         let (mut total, mut last_key, mut idx) = (0usize, None::<Key>, 0usize);
         while idx < n {
-            let entry = &self.entries[idx];
+            let entry = self.entries[idx];
             let Some(seg) = segment(entry) else {
                 let detail = "entry names no live segment".to_string();
                 report.fail("dir-dangling", at(idx), detail);
@@ -188,7 +192,7 @@ impl<E: Clone> Directory<E> {
             let end = (idx + span).min(n);
             let unaligned = || (at(idx), format!("span of {span} starts unaligned"));
             report.check(idx.is_multiple_of(span), "dir-alignment", unaligned);
-            let covered = self.entries[idx..end].iter().all(|e| same(e, entry));
+            let covered = self.entries[idx..end].iter().all(|&e| e == entry);
             let mixed = || (at(idx), format!("span ..{end} mixes directory targets"));
             report.check(covered, "dir-coverage", mixed);
             if let Some((params, _)) = keys {

@@ -16,13 +16,14 @@
 //! functions are adjusted locally, one segment at a time, as keys arrive
 //! (split / remapping / expansion / directory doubling, Algorithm 1).
 //!
-//! The concurrent index (§3.4) is [`ConcurrentDyTis`] (`concurrent.rs`):
-//! one latch protocol, a per-table directory lock over per-segment
-//! reader/writer locks, taken by readers and writers alike. It and
-//! [`DyTis`] share one extendible-hash directory (`directory.rs`: index,
-//! doubling, split install, the §3.3 segment-size decision, scan step,
-//! audit, maintenance record) and one Algorithm 1
-//! (`Segment::repair_in_place`).
+//! The two uses of §3.4 are one index type, [`Index`], in two latch modes
+//! (`table.rs`): [`DyTis`] owns its tables outright, and
+//! [`ConcurrentDyTis`] (`concurrent.rs`) reaches them through a
+//! reader/writer latch per table and per segment, taken by readers and
+//! writers alike. Both run one extendible-hash directory (`directory.rs`)
+//! and one Algorithm 1 (`Segment::repair_in_place`), and a [`DyTis`]
+//! becomes a [`ConcurrentDyTis`] by moving its tables into latches
+//! (`From`).
 //!
 //! # Examples
 //!
@@ -47,7 +48,6 @@ pub mod bucket;
 pub mod concurrent;
 pub mod cursor;
 mod directory;
-pub mod eh;
 pub mod params;
 pub mod persist;
 pub mod remap;
@@ -55,43 +55,74 @@ pub mod segment;
 pub mod simd;
 pub mod stats;
 pub mod sync;
+pub mod table;
 
 pub use concurrent::ConcurrentDyTis;
 pub use cursor::{CursorInvalidated, ScanCursor};
 pub use params::Params;
 pub use stats::{DytisStats, OpTimes};
+pub use table::{Exclusive, Latched, Mode};
 
-use eh::EhTable;
-use index_traits::{Auditable, BulkLoad, Key, KvIndex, Value};
+use index_traits::{BulkLoad, Key, KvIndex, Value};
+use segment::MAX_INSERT_STEPS;
+use sync::atomic::{AtomicU64, Ordering};
+use table::{insert_step, remove_step, Step, Table};
 
-/// The single-threaded DyTIS index.
+/// The DyTIS index in latch mode `M`: the first level's `2^R` tables, each
+/// in one `M` cell. The two modes are [`DyTis`] and [`ConcurrentDyTis`].
+pub struct Index<M: Mode> {
+    params: Params,
+    /// First level: `2^R` tables, indexed by the `R` key MSBs.
+    tables: Vec<M::Cell<Table<M>>>,
+    /// Mutation generation of the exclusive mode, bumped by every
+    /// `insert`/`remove`. Outstanding [`ScanCursor`]s record the generation
+    /// they were created under so a resume after *any* mutation —
+    /// including the structural ones (split, remapping, expansion,
+    /// directory doubling) that move pairs or renumber directory positions
+    /// — is detected instead of walking stale structure (see
+    /// [`DyTis::scan_next`]). Latched writes take `&self` and have no
+    /// cursor to guard; they leave it alone.
+    generation: u64,
+    /// Times an insert found no in-place repair for its full bucket and
+    /// took the split step; in the latched mode that includes the times the
+    /// recheck under the table write latch found the work already done.
+    insert_retries: AtomicU64,
+}
+
+/// The single-threaded DyTIS index: [`Index`] in the [`Exclusive`] mode.
 ///
 /// Multi-threaded systems should use [`ConcurrentDyTis`]; systems with
 /// multiple single-threaded engines (H-Store, Redis Cluster) can use this
 /// lock-free-by-construction version directly (§3.4).
-#[derive(Debug, Clone)]
-pub struct DyTis {
-    params: Params,
-    /// First level: `2^R` EH tables, indexed by the `R` key MSBs.
-    tables: Vec<EhTable>,
-    num_keys: usize,
-    /// Mutation generation, bumped by every `insert`/`remove`. Outstanding
-    /// [`ScanCursor`]s record the generation they were created under so a
-    /// resume after *any* mutation — including the structural ones (split,
-    /// remapping, expansion, directory doubling) that move pairs or
-    /// renumber directory positions — is detected instead of walking stale
-    /// structure (see
-    /// [`DyTis::scan_next`]).
-    generation: u64,
-}
+pub type DyTis = Index<Exclusive>;
 
-impl Default for DyTis {
+impl<M: Mode> Default for Index<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl DyTis {
+impl<M: Mode> std::fmt::Debug for Index<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(M::NAME)
+            .field("params", &self.params)
+            .field("len", &self.key_count())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Clone for DyTis {
+    fn clone(&self) -> Self {
+        DyTis {
+            params: self.params,
+            tables: self.tables.clone(),
+            generation: self.generation,
+            insert_retries: AtomicU64::new(self.insert_retries()),
+        }
+    }
+}
+
+impl<M: Mode> Index<M> {
     /// Creates an index with the paper's default parameters (§4.1).
     pub fn new() -> Self {
         Self::with_params(Params::default())
@@ -105,22 +136,15 @@ impl DyTis {
     pub fn with_params(params: Params) -> Self {
         let r = params.first_level_bits;
         assert!((1..=16).contains(&r), "first_level_bits must be in 1..=16");
-        let m_total = 64 - r;
         let tables = (0..(1usize << r))
-            .map(|_| EhTable::new(m_total, &params))
+            .map(|_| M::cell(Table::new(64 - r, &params)))
             .collect();
-        DyTis {
+        Index {
             params,
             tables,
-            num_keys: 0,
             generation: 0,
+            insert_retries: AtomicU64::new(0),
         }
-    }
-
-    /// The current mutation generation (see [`DyTis::scan_next`]).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The active parameters.
@@ -138,13 +162,28 @@ impl DyTis {
         key & remap::mask64(64 - self.params.first_level_bits)
     }
 
-    /// Aggregated maintenance statistics over all first-level tables.
+    /// The maintenance record summed over all first-level tables —
+    /// operation counts, keys moved and per-operation time. In the latched
+    /// mode it is exact once writers have quiesced.
     pub fn stats(&self) -> DytisStats {
         let mut acc = DytisStats::default();
         for t in &self.tables {
-            acc.merge(&t.stats());
+            acc.merge(&M::read(t).dir.record.snapshot());
         }
         acc
+    }
+
+    /// Totals of the structural maintenance operations performed so far
+    /// (splits, segment expansions, remaps, directory doublings, shrinks,
+    /// keys moved): [`Index::stats`] without the times.
+    pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
+        self.stats().ops
+    }
+
+    /// Times an insert took the split step (see the field doc).
+    pub fn insert_retries(&self) -> u64 {
+        // relaxed: monotonic advisory counter.
+        self.insert_retries.load(Ordering::Relaxed)
     }
 
     /// Total number of linear models (remapping-function pieces) across
@@ -152,36 +191,106 @@ impl DyTis {
     /// in §4.3 ("to query a key, DyTIS always uses a linear model once")
     /// and §4.4 (node growth under skew).
     pub fn model_count(&self) -> usize {
-        self.tables.iter().map(EhTable::model_count).sum()
+        let pieces = |s: &M::Cell<segment::Segment>| M::read(s).remap.num_pieces();
+        let models = |t: &M::Cell<Table<M>>| M::read(t).segs.iter().map(pieces).sum::<usize>();
+        self.tables.iter().map(models).sum()
     }
 
     /// Total number of segments across the whole index.
     pub fn segment_count(&self) -> usize {
-        self.tables.iter().map(EhTable::segment_count).sum()
-    }
-
-    /// Read-only access to the first-level EH tables (introspection and
-    /// structure analysis).
-    pub fn tables(&self) -> impl Iterator<Item = &EhTable> {
-        self.tables.iter()
+        self.tables.iter().map(|t| M::read(t).segs.len()).sum()
     }
 
     /// Maximum directory depth over the first-level EH tables.
     pub fn max_global_depth(&self) -> u32 {
-        self.tables
-            .iter()
-            .map(EhTable::global_depth)
-            .max()
-            .unwrap_or(0)
+        let gd = self.tables.iter().map(|t| M::read(t).global_depth());
+        gd.max().unwrap_or(0)
     }
 
     /// Number of EH tables whose adaptive segment-size limit was raised.
     pub fn raised_limit_tables(&self) -> usize {
         let raised = self.params.limit_mult_raised;
-        self.tables
-            .iter()
-            .filter(|t| t.active_limit_mult() == raised)
-            .count()
+        let limits = self.tables.iter().map(|t| M::read(t).active_limit_mult());
+        limits.filter(|&l| l == raised).count()
+    }
+
+    /// Structural memory in bytes: the index, its tables' cells, and each
+    /// table's directory, segment cells and buckets. The two modes differ
+    /// by the latches in the cells alone.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.tables.capacity() * std::mem::size_of::<M::Cell<Table<M>>>()
+            + self
+                .tables
+                .iter()
+                .map(|t| M::read(t).memory_bytes())
+                .sum::<usize>()
+    }
+
+    /// Validates structural invariants of every EH table (test helper).
+    ///
+    /// Equivalent to `self.audit().assert_clean()`; use
+    /// [`index_traits::Auditable::audit`] directly to inspect violations
+    /// without panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any invariant is violated.
+    pub fn check_invariants(&self) {
+        index_traits::Auditable::audit(self).assert_clean();
+    }
+
+    /// Keys stored: the tables' counts, summed. In the latched mode each
+    /// is exact at some instant, the sum at no single one.
+    fn key_count(&self) -> usize {
+        self.tables.iter().map(|t| M::read(t).len()).sum()
+    }
+
+    /// Looks up `key`: its table, then its segment (each under a read latch
+    /// in the latched mode).
+    #[inline]
+    fn lookup(&self, key: Key) -> Option<Value> {
+        let (table, sk) = (M::read(&self.tables[self.table_of(key)]), self.sub_key(key));
+        let seg = M::read(&table.segs[table.dir.entry(sk) as usize]);
+        seg.get(sk, key, table.dir.m_total(), &self.params)
+    }
+
+    /// Appends pairs in key order from the smallest key `>= start` until
+    /// `out` holds `count`: one [`Table::walk`] per table, from the start
+    /// key's position in its table on; empty tables are skipped. The
+    /// latched mode holds each table's read latch across its walk.
+    fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
+        let first = self.table_of(start);
+        let (sk, m_total) = (self.sub_key(start), 64 - self.params.first_level_bits);
+        for (t, cell) in self.tables.iter().enumerate().skip(first) {
+            if out.len() >= count {
+                return;
+            }
+            let table = M::read(cell);
+            if table.is_empty() {
+                continue;
+            }
+            if t == first {
+                let seek = |seg: &segment::Segment| seg.seek(sk, start, m_total);
+                table.walk(table.dir.index(sk), seek, count, out);
+            } else {
+                table.walk(0, |_| (0, 0), count, out);
+            }
+        }
+    }
+}
+
+impl DyTis {
+    /// The current mutation generation (see [`DyTis::scan_next`]).
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Read-only access to the first-level EH tables (introspection and
+    /// structure analysis).
+    pub fn tables(&self) -> impl Iterator<Item = &Table<Exclusive>> {
+        self.tables.iter().map(|t| &t.0)
     }
 
     /// Returns all pairs with keys in `[start, end)`, in ascending order.
@@ -214,21 +323,8 @@ impl DyTis {
     /// Smallest stored key, or `None` when empty.
     pub fn first_key(&self) -> Option<Key> {
         let mut out = Vec::with_capacity(1);
-        self.scan(0, 1, &mut out);
+        self.scan_into(0, 1, &mut out);
         out.first().map(|&(k, _)| k)
-    }
-
-    /// Validates structural invariants of every EH table (test helper).
-    ///
-    /// Equivalent to `self.audit().assert_clean()`; use
-    /// [`Auditable::audit`] directly to inspect violations without
-    /// panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant is violated.
-    pub fn check_invariants(&self) {
-        self.audit().assert_clean();
     }
 }
 
@@ -239,28 +335,43 @@ impl KvIndex for DyTis {
     fn insert(&mut self, key: Key, value: Value) {
         let _t = obs::Timer::start(obs::histogram!("dytis.insert_ns"));
         obs::counter!("dytis.insert").inc();
-        let t = self.table_of(key);
-        let sk = self.sub_key(key);
-        let before = self.tables[t].len();
-        self.tables[t].insert(sk, key, value, &self.params);
-        self.num_keys += self.tables[t].len() - before;
+        let (t, sk) = (self.table_of(key), self.sub_key(key));
+        let table = &mut self.tables[t].0;
+        let mut steps = 0u32;
+        loop {
+            steps += 1;
+            assert!(steps < MAX_INSERT_STEPS, "insert failed to converge");
+            let seg = &mut table.segs[table.dir.entry(sk) as usize].0;
+            match insert_step(&table.dir, seg, sk, key, value, &self.params) {
+                Step::Updated => break,
+                Step::Inserted => {
+                    *table.num_keys.get_mut() += 1;
+                    break;
+                }
+                Step::Repaired => {}
+                Step::NeedsSplit => {
+                    *self.insert_retries.get_mut() += 1;
+                    table.split_step(sk, &self.params);
+                }
+            }
+        }
         self.generation = self.generation.wrapping_add(1);
     }
 
     fn get(&self, key: Key) -> Option<Value> {
         let _t = obs::Timer::start(obs::histogram!("dytis.get_ns"));
         obs::counter!("dytis.get").inc();
-        let t = self.table_of(key);
-        self.tables[t].get(self.sub_key(key), key, &self.params)
+        self.lookup(key)
     }
 
     fn remove(&mut self, key: Key) -> Option<Value> {
         let _t = obs::Timer::start(obs::histogram!("dytis.remove_ns"));
         obs::counter!("dytis.remove").inc();
-        let t = self.table_of(key);
-        let sk = self.sub_key(key);
-        let v = self.tables[t].remove(sk, key, &self.params)?;
-        self.num_keys -= 1;
+        let (t, sk) = (self.table_of(key), self.sub_key(key));
+        let table = &mut self.tables[t].0;
+        let seg = &mut table.segs[table.dir.entry(sk) as usize].0;
+        let v = remove_step(&table.dir, seg, sk, key, &self.params)?;
+        *table.num_keys.get_mut() -= 1;
         self.generation = self.generation.wrapping_add(1);
         Some(v)
     }
@@ -268,25 +379,19 @@ impl KvIndex for DyTis {
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
         let _t = obs::Timer::start(obs::histogram!("dytis.scan_ns"));
         obs::counter!("dytis.scan").inc();
-        let mut cur = self.scan_cursor(start);
-        self.scan_next(&mut cur, count, out)
-            // invariant: the cursor lives entirely under this `&self`
-            // borrow, so no mutation can invalidate it.
-            .expect("cursor created under the same borrow");
+        self.scan_into(start, count, out);
     }
 
     fn len(&self) -> usize {
-        self.num_keys
+        self.key_count()
     }
 
     fn name(&self) -> &'static str {
-        "DyTIS"
+        Exclusive::NAME
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.tables.iter().map(EhTable::memory_bytes).sum::<usize>()
-            + self.tables.capacity() * std::mem::size_of::<EhTable>()
+        Index::memory_bytes(self)
     }
 }
 
@@ -295,7 +400,8 @@ impl DyTis {
     /// explicit parameters, constructing directories, segments, and buckets
     /// directly from sorted runs (mirroring ALEX's bulk load) instead of
     /// running the insert path — no splits, remaps, expansions, or
-    /// directory doublings happen at all.
+    /// directory doublings happen at all. A served index is built the same
+    /// way, then converted (`ConcurrentDyTis::from`).
     pub fn bulk_load_with_params(pairs: &[(Key, Value)], params: Params) -> Self {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
@@ -307,8 +413,8 @@ impl DyTis {
         while lo < pairs.len() {
             let t = idx.table_of(pairs[lo].0);
             let hi = lo + pairs[lo..].partition_point(|&(k, _)| idx.table_of(k) == t);
-            idx.tables[t] = EhTable::build_sorted(m_total, &pairs[lo..hi], &idx.params);
-            idx.num_keys += hi - lo;
+            let table = Table::build_sorted(m_total, &pairs[lo..hi], &idx.params);
+            idx.tables[t] = Exclusive::cell(table);
             lo = hi;
         }
         idx

@@ -13,9 +13,12 @@
 //! This module owns the on-disk protocol over them, as two halves that rely
 //! on each other: [`write_checkpoint`] publishes a checkpoint atomically, so
 //! [`recover`] may treat any checkpoint it finds as complete, restore it,
-//! and replay the log's valid prefix on top.
+//! and replay the log's valid prefix on top. Both latch modes checkpoint
+//! through [`write_checkpoint`]; a served index is restored by converting
+//! what [`load_from`] or [`recover`] returns (`ConcurrentDyTis::from`).
 
-use crate::{DyTis, Params};
+use crate::table::Mode;
+use crate::{DyTis, Index, Params};
 use durability::{RecoveredLog, WalOp};
 use index_traits::KvIndex;
 use std::fs::File;
@@ -47,23 +50,26 @@ fn restore<R: Read>(r: &mut R, params: Params) -> io::Result<DyTis> {
     Ok(index)
 }
 
-/// Writes a checkpoint of `index` to `path` atomically: the stream goes to
-/// `<path>.tmp`, is synced, renamed over `path`, and the rename is made
-/// durable with a directory fsync. A crash at any point leaves either the
-/// previous checkpoint or the new one, never a partial file, so a caller
-/// may drop the log the new checkpoint covers once this returns.
+/// Writes a checkpoint of `index`, in either latch mode, to `path`
+/// atomically: the stream goes to `<path>.tmp`, is synced, renamed over
+/// `path`, and the rename is made durable with a directory fsync. A crash
+/// at any point leaves either the previous checkpoint or the new one,
+/// never a partial file, so a caller may drop the log the new checkpoint
+/// covers once this returns.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors, and [`durability::save_index`]'s `InvalidData`
-/// for an index whose `len` and `scan` disagree — in which case `path` is
-/// left untouched.
-pub fn write_checkpoint(index: &DyTis, path: &Path) -> io::Result<()> {
+/// Propagates I/O errors, and [`durability::save_scan`]'s `InvalidData`
+/// for an index whose `len` and `scan` disagree — a latched index written
+/// to while it is checkpointed, for one — in which case `path` is left
+/// untouched.
+pub fn write_checkpoint<M: Mode>(index: &Index<M>, path: &Path) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     {
         let mut w = BufWriter::new(File::create(&tmp)?);
-        durability::save_index(index, &mut w)?;
+        let scan = |start, count, out: &mut Vec<_>| index.scan_into(start, count, out);
+        durability::save_scan(index.key_count(), scan, &mut w)?;
         let file = w.into_inner().map_err(|e| e.into_error())?;
         file.sync_data()?;
     }

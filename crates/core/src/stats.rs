@@ -65,10 +65,10 @@ pub(crate) enum Maint {
     Shrink,
 }
 
-/// The maintenance record of one second-level table, filled by both
-/// indexes: per-operation counts and time, plus the keys the rebuilds
-/// moved. Atomic so `ConcurrentDyTis` can record segment-local repairs
-/// under its directory *read* lock.
+/// The maintenance record of one second-level table, filled in both latch
+/// modes: per-operation counts and time, plus the keys the rebuilds moved.
+/// Atomic so the latched mode can record segment-local repairs under its
+/// table *read* latch.
 #[derive(Debug, Default)]
 pub(crate) struct MaintRecord {
     /// Indexed by [`Maint`].
@@ -85,9 +85,9 @@ impl MaintRecord {
         let dt = t0.elapsed().as_nanos() as u64;
         let i = op as usize;
         // relaxed: monotonic statistics. The one reader that acts on them,
-        // the §3.3 limit decision, holds the directory write lock, which
-        // orders every increment made under a directory lock before it;
-        // all other reads happen after the writers quiesced.
+        // the §3.3 limit decision, holds the table write latch, which
+        // orders every increment made under a table latch before it; all
+        // other reads happen after the writers quiesced.
         self.counts[i].fetch_add(1, Ordering::Relaxed);
         // relaxed: see above.
         self.times[i].fetch_add(dt, Ordering::Relaxed);
@@ -139,8 +139,8 @@ impl MaintRecord {
 
 impl Clone for MaintRecord {
     fn clone(&self) -> Self {
-        // relaxed: only `EhTable`, which one thread owns, is cloned, so
-        // no note is in flight.
+        // relaxed: only the exclusive mode's tables, which one thread
+        // owns, are cloned, so no note is in flight.
         let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
         MaintRecord {
             counts: self.counts.each_ref().map(copy),

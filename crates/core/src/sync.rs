@@ -1,8 +1,7 @@
 //! Synchronization facade for concurrent DyTIS.
 //!
-//! Everything the two-level locking protocol of §3.4 touches — directory
-//! and segment locks, the shared segment handles, key and maintenance
-//! counters — is imported from here instead of `parking_lot`/`std::sync`
+//! Everything the two-level locking protocol of §3.4 touches — table and
+//! segment latches, key and maintenance counters — is imported from here instead of `parking_lot`/`std::sync`
 //! directly, so one compile-time switch swaps the whole protocol onto the
 //! loom model checker:
 //!
@@ -17,13 +16,11 @@
 //! silently opts the code out of model checking.
 
 #[cfg(not(loom))]
-pub use parking_lot::RwLock;
+pub use parking_lot::{RwLock, RwLockReadGuard};
 #[cfg(not(loom))]
 pub use std::sync::atomic;
-#[cfg(not(loom))]
-pub use std::sync::Arc;
 
 #[cfg(loom)]
 pub use loom::sync::atomic;
 #[cfg(loom)]
-pub use loom::sync::{Arc, RwLock};
+pub use loom::sync::{RwLock, RwLockReadGuard};

@@ -9,8 +9,8 @@
 //! | model | protocol checked |
 //! |---|---|
 //! | `insert_vs_split` | concurrent insert while another insert splits the segment and doubles the directory |
-//! | `get_vs_directory_doubling` | read-path (dir read → segment read) racing structural surgery under the dir write lock |
-//! | `get_vs_remap` | point read (dir read → segment read) racing an in-place `remap_adjust` under the segment write lock |
+//! | `get_vs_directory_doubling` | read-path (table read → segment read) racing structural surgery under the table write latch |
+//! | `get_vs_remap` | point read (table read → segment read) racing an in-place `remap_adjust` under the segment write lock |
 //! | `scan_vs_remap` | scan's directory walk racing a segment-local remap (`remap_adjust`) |
 //! | `counter_dispatch_maintenance_race` | the PR 4 counter fast path: both threads see a full bucket, one repairs, the other must re-check (`bucket_len`) and retry, losing nothing |
 //! | `seeded_torn_counter_is_caught` | non-vacuity: a deliberately broken insert (torn counter update outside the lock) must produce a counterexample |
@@ -68,7 +68,7 @@ fn model(name: &str, f: impl Fn() + Send + Sync + 'static) {
 
 /// Insert racing a segment split + directory doubling: the 3rd and 4th
 /// inserts both overflow the only bucket, so both threads race through
-/// `maintain` (directory write lock) and the fast-path retry loop.
+/// the split step (table write latch) and the fast-path retry loop.
 #[test]
 fn insert_vs_split() {
     model("insert_vs_split", || {
@@ -91,9 +91,9 @@ fn insert_vs_split() {
     });
 }
 
-/// Point read racing directory doubling + split: `get` takes the directory
-/// read lock then a segment read lock; the writer rewrites the directory
-/// under the write lock. A prefilled key must be visible in every
+/// Point read racing directory doubling + split: `get` takes the table
+/// read latch then a segment read lock; the writer rewrites the directory
+/// under the table write latch. A prefilled key must be visible in every
 /// interleaving — keys are never dropped by structural surgery.
 #[test]
 fn get_vs_directory_doubling() {
@@ -142,9 +142,9 @@ fn scan_vs_remap() {
 }
 
 /// The PR 4 maintenance-counter fast path: both writers overflow the same
-/// bucket and call `maintain`; whichever arrives second must take the
-/// `bucket_len(b) < bucket_entries` early return (the repair already
-/// happened) and succeed on retry. No insert may be lost and the
+/// bucket and take the split step; whichever arrives second must find the
+/// bucket no longer full on its recheck under the table write latch (the
+/// repair already happened) and succeed on retry. No insert may be lost and the
 /// occupancy counters must audit clean.
 #[test]
 fn counter_dispatch_maintenance_race() {
@@ -168,7 +168,7 @@ fn counter_dispatch_maintenance_race() {
 
 /// Point read racing an in-place `remap_adjust`: the remap rebuilds the
 /// segment's bucket array under its write lock while the reader holds the
-/// directory read lock and waits for the segment read lock. Both stable
+/// table read latch and waits for the segment read lock. Both stable
 /// keys must be found in every interleaving.
 #[test]
 fn get_vs_remap() {

@@ -23,18 +23,38 @@ pub const CKPT_MAGIC: [u8; 8] = *b"DYTIS2\0\0";
 /// Scan batch size used when streaming pairs out of an index.
 const SCAN_BATCH: usize = 4096;
 
-/// Writes a `DYTIS2` checkpoint of `index` to `w`, verifying it on the way:
-/// the header count is `index.len()`, so a scan that disagrees with it or
-/// does not strictly ascend is refused before the CRC is written — a stream
+/// Writes a `DYTIS2` checkpoint of `index` to `w` ([`save_scan`] over
+/// its `len` and `scan`).
+///
+/// # Errors
+///
+/// As [`save_scan`].
+pub fn save_index<I: KvIndex + ?Sized, W: Write>(index: &I, w: &mut W) -> io::Result<()> {
+    save_scan(
+        index.len(),
+        |start, count, out| index.scan(start, count, out),
+        w,
+    )
+}
+
+/// Writes a `DYTIS2` checkpoint of `len` pairs that `scan` reads — with
+/// [`KvIndex::scan`]'s contract, for an index reached some other way, such
+/// as one shared behind latches — to `w`, verifying it on the way: the
+/// header count is `len`, so a scan that disagrees with it or does not
+/// strictly ascend is refused before the CRC is written — a stream
 /// [`read_checkpoint`] would reject is never completed.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` for such a scan, besides propagating I/O errors
 /// from `w`.
-pub fn save_index<I: KvIndex + ?Sized, W: Write>(index: &I, w: &mut W) -> io::Result<()> {
+pub fn save_scan<W: Write>(
+    len: usize,
+    scan: impl Fn(Key, usize, &mut Vec<(Key, Value)>),
+    w: &mut W,
+) -> io::Result<()> {
     w.write_all(&CKPT_MAGIC)?;
-    let n = index.len() as u64;
+    let n = len as u64;
     let mut crc = Crc64::new();
     let count_bytes = n.to_le_bytes();
     crc.update(&count_bytes);
@@ -47,7 +67,7 @@ pub fn save_index<I: KvIndex + ?Sized, W: Write>(index: &I, w: &mut W) -> io::Re
     // under-reports must show up as a count mismatch, not a silent cut.
     while let Some(start) = cursor {
         batch.clear();
-        index.scan(start, SCAN_BATCH, &mut batch);
+        scan(start, SCAN_BATCH, &mut batch);
         for &(k, v) in &batch {
             if prev.is_some_and(|p| p >= k) {
                 return Err(bad("index scan out of order"));

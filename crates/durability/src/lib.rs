@@ -33,7 +33,7 @@ pub mod record;
 pub mod recover;
 pub mod wal;
 
-pub use checkpoint::{read_checkpoint, save_index, CKPT_MAGIC};
+pub use checkpoint::{read_checkpoint, save_index, save_scan, CKPT_MAGIC};
 pub use crc64::{crc64, Crc64};
 pub use failpoint::{CrashPlan, FailpointWriter, CRASH_MSG};
 pub use record::{

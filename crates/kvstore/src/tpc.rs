@@ -39,7 +39,7 @@ use crate::frame::{self, Decoded};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
 use crate::{DrainReport, ServerOptions};
 use dytis::ConcurrentDyTis;
-use index_traits::{ConcurrentKvIndex, Key, MaintenanceStats, Value};
+use index_traits::{ConcurrentKvIndex, Key, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Result, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -238,17 +238,12 @@ impl TpcServer {
         self.shared.live.load(Ordering::Relaxed)
     }
 
-    /// Structure-maintenance counters (splits, expansions, remaps,
-    /// doublings, shrinks, keys moved) of the served index, exact once
-    /// writers have quiesced ([`ConcurrentDyTis::maintenance_stats`]).
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.shared.index.maintenance_stats()
-    }
-
-    /// Times an insert into the served index lost its fast path to
-    /// contention and retried ([`ConcurrentDyTis::insert_retries`]).
-    pub fn insert_retries(&self) -> u64 {
-        self.shared.index.insert_retries()
+    /// The served index, shared with every worker: its maintenance
+    /// counters ([`ConcurrentDyTis::maintenance_stats`], exact once writers
+    /// have quiesced), and the checkpoint of a quiesced server
+    /// (`dytis::persist::write_checkpoint`).
+    pub fn index(&self) -> &ConcurrentDyTis {
+        &self.shared.index
     }
 
     /// Stops accepting, force-closes every connection, and joins workers
@@ -798,7 +793,7 @@ mod tests {
         for &(k, v) in &pairs {
             local.insert(k, v);
         }
-        let served = server.maintenance_stats();
+        let served = server.index().maintenance_stats();
         assert!(served.splits > 0 && served.keys_moved > 0, "{served:?}");
         assert_eq!(served, local.maintenance_stats());
         c.quit().expect("quit");

@@ -607,7 +607,7 @@ fn scans_keep_their_contract_while_another_worker_writes() {
         })
     };
 
-    let before = server.maintenance_stats();
+    let before = server.index().maintenance_stats();
     scanning.store(true, Ordering::Release);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut scans = 0u64;
@@ -646,7 +646,7 @@ fn scans_keep_their_contract_while_another_worker_writes() {
             );
         }
     }
-    let grown = server.maintenance_stats().delta_since(&before);
+    let grown = server.index().maintenance_stats().delta_since(&before);
     let mutations = writer.join().expect("writer");
     assert!(scans > 0, "no scan ran");
     assert!(mutations >= 1_000, "writer made only {mutations} mutations");

@@ -2,19 +2,18 @@
 //! loop the paper's introduction motivates.
 //!
 //! Starts the thread-per-core server on one shared concurrent DyTIS,
-//! ingests a review-like
-//! dataset over TCP, checkpoints the store to disk, restarts a server that
-//! serves the restored checkpoint, and reads the keys back over the wire.
+//! ingests a review-like dataset over TCP, checkpoints the served index to
+//! disk, restarts a server that serves the restored checkpoint, and reads
+//! the keys back over the wire.
 //!
 //! ```sh
 //! cargo run --release --example checkpoint_server
 //! ```
 
 use dytis_repro::datasets::{Dataset, DatasetSpec};
-use dytis_repro::durability;
 use dytis_repro::dytis::persist;
-use dytis_repro::dytis::{ConcurrentDyTis, DyTis};
-use dytis_repro::index_traits::{ConcurrentKvIndex, KvIndex};
+use dytis_repro::dytis::{ConcurrentDyTis, Params};
+use dytis_repro::index_traits::ConcurrentKvIndex;
 use dytis_repro::kvstore::{BinClient, TpcOptions, TpcServer};
 use std::fs::File;
 use std::io::BufReader;
@@ -34,35 +33,25 @@ fn main() {
         server.workers()
     );
 
-    // Phase 2: checkpoint. The index lives inside the server, so the
-    // (quiesced) store is drained over the wire — `scan` chains
-    // frame-sized requests until the key space is exhausted — into one
-    // single-threaded index, which is published atomically as one DYTIS2
-    // file.
-    let mut snapshot = DyTis::new();
-    for (k, v) in client.scan(0, usize::MAX).expect("scan") {
-        snapshot.insert(k, v);
-    }
+    // Phase 2: checkpoint. The (quiesced) served index is published
+    // atomically as one DYTIS2 file, straight from its latched tables.
     let path = std::env::temp_dir().join("dytis_checkpoint.bin");
-    persist::write_checkpoint(&snapshot, &path).expect("checkpoint");
+    persist::write_checkpoint(server.index(), &path).expect("checkpoint");
+    let saved = server.index().len();
     client.quit().expect("quit");
     server.shutdown();
     println!(
-        "checkpointed {} keys to {} ({} bytes)",
-        snapshot.len(),
+        "checkpointed {saved} keys to {} ({} bytes)",
         path.display(),
         std::fs::metadata(&path).expect("stat").len()
     );
 
-    // Phase 3: restart. Stream the checkpoint's pairs straight into one
-    // concurrent index and serve it.
-    let index = ConcurrentDyTis::new();
+    // Phase 3: restart. Restore the checkpoint (debug builds audit it),
+    // move it into latches, and serve it.
     let mut r = BufReader::new(File::open(&path).expect("open"));
-    let restored = durability::read_checkpoint(&mut r, |k, v| index.insert(k, v)).expect("restore");
-    assert_eq!(restored, n as u64);
-    // Debug builds re-audit the restored index before it serves.
-    #[cfg(debug_assertions)]
-    dytis_repro::index_traits::Auditable::audit(&index).assert_clean();
+    let restored = persist::load_from(&mut r, Params::default()).expect("restore");
+    let index = ConcurrentDyTis::from(restored);
+    assert_eq!(index.len(), n);
     let opts = TpcOptions {
         workers: 2,
         ..TpcOptions::default()

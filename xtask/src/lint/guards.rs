@@ -2,9 +2,9 @@
 //! lock-across-I/O rules.
 //!
 //! The model is the workspace's documented two-level protocol: directory /
-//! root locks (level 1, a `.read()`/`.write()` whose receiver ends in `dir`
-//! or `inner`) before other RwLocks (level 2) before `.lock()` mutexes
-//! (level 3). A `let`-bound acquisition stays live until its enclosing
+//! table / root locks (level 1, a `.read()`/`.write()` whose receiver ends
+//! in `dir`, `table` or `inner`) before other RwLocks (level 2) before
+//! `.lock()` mutexes (level 3). A `let`-bound acquisition stays live until its enclosing
 //! scope closes or an explicit `drop(name)`.
 
 /// A lock guard live in the current scope.
@@ -16,7 +16,7 @@ pub struct Guard {
 }
 
 /// Lock level of an acquisition ending at byte offset `dot` (the `.` of
-/// `.read()`/`.write()`): 1 for directory/root locks, 2 otherwise.
+/// `.read()`/`.write()`): 1 for directory/table/root locks, 2 otherwise.
 fn rwlock_level(code: &str, dot: usize) -> u8 {
     let ident: String = code[..dot]
         .chars()
@@ -24,7 +24,7 @@ fn rwlock_level(code: &str, dot: usize) -> u8 {
         .take_while(|c| c.is_alphanumeric() || *c == '_')
         .collect();
     let ident: String = ident.chars().rev().collect();
-    if ident == "dir" || ident == "inner" {
+    if ident == "dir" || ident == "table" || ident == "inner" {
         1
     } else {
         2
