@@ -1,21 +1,13 @@
-//! Hot-path microbench: what do the scan cursor and the sorted bulk build
-//! buy over the re-entry / insert-loop baselines?
+//! Hot-path microbench: what do the sorted bulk build and the SIMD probe
+//! kernel buy over the insert-loop / branchless baselines?
 //!
-//! Two experiments over the single-threaded `DyTis`:
+//! Two experiments:
 //!
-//! 1. **bulk**: building from `N` sorted unique pairs via the insert loop
-//!    (the old `BulkLoad` behaviour: every key pays Algorithm 1
-//!    maintenance) vs `DyTis::bulk_load` (direct segment/bucket
-//!    construction with trained remapping functions).
-//! 2. **scan**: a YCSB-E-style scan-heavy phase — `Q` queries, each
-//!    streaming `scan_len` pairs in pages of `page` — implemented once by
-//!    re-entering `scan(last + 1, ...)` per page (the old `range` pattern:
-//!    one full positioning per page) and once by pulling the same pages
-//!    from a single `ScanCursor` (one positioning per query). Both legs
-//!    share the same structural bulk walk, so the delta isolates the
-//!    re-positioning cost.
-//!
-//! 3. **probe**: the bucket lower-bound kernel in isolation — the
+//! 1. **bulk**: building a single-threaded `DyTis` from `N` sorted unique
+//!    pairs via the insert loop (the old `BulkLoad` behaviour: every key
+//!    pays Algorithm 1 maintenance) vs `DyTis::bulk_load` (direct
+//!    segment/bucket construction with trained remapping functions).
+//! 2. **probe**: the bucket lower-bound kernel in isolation — the
 //!    selected `simd` kernel (AVX2 where the CPU has it) vs the
 //!    branchless binary-search reference it replaced, A/B over the same
 //!    probe stream with a 50/50 hit/near-miss mix, in two shapes: full
@@ -31,12 +23,11 @@
 //!     [--assert-speedup] [--out BENCH_hotpath.json]
 //! ```
 //!
-//! `--assert-speedup` pins the acceptance bar: cursor scans >=1.3x over
-//! re-entry scans, bulk load >=2x over the insert loop, and — only when
-//! the AVX2 kernel is actually dispatched — hint-window probes >=1.2x
-//! over the branchless reference plus a >=1.05x no-regression floor on
-//! the (memory-bound) full-bucket cell (all relaxed under `--smoke`,
-//! where boundary noise dominates). With `--features metrics` the obs
+//! `--assert-speedup` pins the acceptance bar: bulk load >=2x over the
+//! insert loop, and — only when the AVX2 kernel is actually dispatched —
+//! hint-window probes >=1.2x over the branchless reference plus a >=1.05x
+//! no-regression floor on the (memory-bound) full-bucket cell (all
+//! relaxed under `--smoke`, where boundary noise dominates). With `--features metrics` the obs
 //! registry snapshot is embedded in the JSON.
 //!
 //! Every cell also reports cycles/op from `rdtsc` where the target has it
@@ -132,57 +123,6 @@ fn build_by_bulk_load(pairs: &[(u64, u64)]) -> (DyTis, Cell) {
     (idx, cell)
 }
 
-/// The old pattern: every page re-enters `scan` from `last + 1`, paying the
-/// full descent (first-level table, directory, remap prediction, bucket
-/// lower bound) once per page.
-fn scan_reentry(idx: &DyTis, starts: &[u64], scan_len: usize, page: usize) -> Cell {
-    let mut out = Vec::with_capacity(page);
-    let mut streamed = 0u64;
-    let t = Timer::start();
-    for &start in starts {
-        let mut cursor = start;
-        let mut left = scan_len;
-        while left > 0 {
-            out.clear();
-            let want = page.min(left);
-            idx.scan(cursor, want, &mut out);
-            streamed += out.len() as u64;
-            left -= out.len();
-            black_box(&out);
-            match out.last() {
-                // A short page means the index ran out of keys.
-                Some(&(k, _)) if out.len() == want && k < u64::MAX => cursor = k + 1,
-                _ => break,
-            }
-        }
-    }
-    t.cell("scan/reentry", streamed)
-}
-
-/// The new pattern: one `ScanCursor` per query; pages resume structurally.
-fn scan_cursor(idx: &DyTis, starts: &[u64], scan_len: usize, page: usize) -> Cell {
-    let mut out = Vec::with_capacity(page);
-    let mut streamed = 0u64;
-    let t = Timer::start();
-    for &start in starts {
-        let mut cur = idx.scan_cursor(start);
-        let mut left = scan_len;
-        while left > 0 {
-            out.clear();
-            let more = idx
-                .scan_next(&mut cur, page.min(left), &mut out)
-                .expect("no mutation during bench scan");
-            streamed += out.len() as u64;
-            left -= out.len().min(left);
-            black_box(&out);
-            if !more {
-                break;
-            }
-        }
-    }
-    t.cell("scan/cursor", streamed)
-}
-
 /// One timed pass of `f` over a probe slice. The accumulated index sum
 /// is black-boxed so the probe loop cannot be elided.
 fn probe_pass(
@@ -260,12 +200,7 @@ fn main() {
         }
     }
     let n_keys: u64 = if smoke { 100_000 } else { 1_000_000 };
-    let queries: usize = if smoke { 200 } else { 1_500 };
-    let scan_len = 2_048usize;
-    let page = 32usize;
-    eprintln!(
-        "[hotpath] smoke={smoke} n_keys={n_keys} queries={queries} scan_len={scan_len} page={page}"
-    );
+    eprintln!("[hotpath] smoke={smoke} n_keys={n_keys}");
 
     let pairs = make_pairs(n_keys);
 
@@ -290,37 +225,7 @@ fn main() {
     let bulk_speedup = bulk_cell.ops_per_sec() / loop_cell.ops_per_sec();
     eprintln!("[hotpath] bulk load speedup vs insert loop: {bulk_speedup:.2}x");
 
-    // Phase 2: scan-heavy streaming over the bulk-built index. Start keys
-    // are existing keys picked by a fixed-stride walk of the sorted array,
-    // clamped away from the tail so every query can stream scan_len pairs.
-    let max_start = (pairs.len() - scan_len.min(pairs.len())).max(1);
-    let starts: Vec<u64> = (0..queries)
-        .map(|q| pairs[(q * 7_919) % max_start].0)
-        .collect();
-
-    let warm = scan_cursor(&bulk_idx, &starts[..queries.min(16)], scan_len, page);
-    black_box(warm.ops);
-    let reentry_cell = scan_reentry(&bulk_idx, &starts, scan_len, page);
-    eprintln!(
-        "[hotpath] {}: {:.0} pairs/s",
-        reentry_cell.label,
-        reentry_cell.ops_per_sec()
-    );
-    let cursor_cell = scan_cursor(&bulk_idx, &starts, scan_len, page);
-    eprintln!(
-        "[hotpath] {}: {:.0} pairs/s",
-        cursor_cell.label,
-        cursor_cell.ops_per_sec()
-    );
-    // Identical work or the comparison is meaningless.
-    assert_eq!(
-        reentry_cell.ops, cursor_cell.ops,
-        "scan legs streamed different pair counts"
-    );
-    let scan_speedup = cursor_cell.ops_per_sec() / reentry_cell.ops_per_sec();
-    eprintln!("[hotpath] cursor scan speedup vs re-entry: {scan_speedup:.2}x");
-
-    // Phase 3: the probe kernel in isolation. Bucket-shaped arrays (the
+    // Phase 2: the probe kernel in isolation. Bucket-shaped arrays (the
     // default bucket_entries = 128) cut from the benched key stream; every
     // odd probe is a stored key (hit), every even probe its neighbour
     // (miss), so both the early-exit and full-walk paths are exercised.
@@ -402,15 +307,12 @@ fn main() {
 
     let mut json = String::from("{");
     json.push_str(&format!(
-        "\"bench\":\"hotpath\",\"smoke\":{smoke},\"n_keys\":{n_keys},\"queries\":{queries},\
-         \"scan_len\":{scan_len},\"page\":{page},"
+        "\"bench\":\"hotpath\",\"smoke\":{smoke},\"n_keys\":{n_keys},"
     ));
     json.push_str("\"cells\":[");
     for (i, c) in [
         &loop_cell,
         &bulk_cell,
-        &reentry_cell,
-        &cursor_cell,
         &probe_ref,
         &probe_simd,
         &window_ref,
@@ -427,7 +329,7 @@ fn main() {
     json.push_str("],");
     json.push_str(&format!(
         "\"kernel\":\"{kernel}\",\"bulk_speedup\":{bulk_speedup:.2},\
-         \"scan_speedup\":{scan_speedup:.2},\"probe_speedup\":{probe_speedup:.2},\
+         \"probe_speedup\":{probe_speedup:.2},\
          \"window_speedup\":{window_speedup:.2}"
     ));
     if obs::ENABLED {
@@ -441,15 +343,11 @@ fn main() {
         // The acceptance bar applies to the full-size run; smoke keeps a
         // looser floor so a 100k-key CI box can flag a real regression
         // without flaking on boundary noise.
-        let (scan_bar, bulk_bar, window_bar, probe_floor) = if smoke {
-            (1.1, 1.5, 1.1, 0.95)
+        let (bulk_bar, window_bar, probe_floor) = if smoke {
+            (1.5, 1.1, 0.95)
         } else {
-            (1.3, 2.0, 1.2, 1.05)
+            (2.0, 1.2, 1.05)
         };
-        assert!(
-            scan_speedup >= scan_bar,
-            "cursor scan speedup was {scan_speedup:.2}x, expected >={scan_bar}x"
-        );
         assert!(
             bulk_speedup >= bulk_bar,
             "bulk load speedup was {bulk_speedup:.2}x, expected >={bulk_bar}x"

@@ -215,7 +215,7 @@ impl Bucket {
     /// Bulk-appends pairs starting at `slot` into `out`, at most `max` of
     /// them; returns how many were appended. One bounds check per call
     /// instead of one per pair, and the pair copy vectorizes — this is the
-    /// scan cursor's per-bucket step.
+    /// scan walk's per-bucket step.
     pub fn append_range(&self, slot: usize, max: usize, out: &mut Vec<(Key, Value)>) -> usize {
         let end = self.keys.len().min(slot.saturating_add(max));
         if slot >= end {
@@ -228,11 +228,6 @@ impl Bucket {
                 .zip(self.vals[slot..end].iter().copied()),
         );
         end - slot
-    }
-
-    /// Moves all pairs out of the bucket, leaving it empty.
-    pub fn drain_pairs(&mut self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        self.keys.drain(..).zip(self.vals.drain(..))
     }
 
     /// Heap bytes held by this bucket's allocations.

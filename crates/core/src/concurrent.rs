@@ -52,7 +52,6 @@ impl From<DyTis> for ConcurrentDyTis {
         Index {
             params: idx.params,
             tables,
-            generation: 0,
             insert_retries: idx.insert_retries,
         }
     }

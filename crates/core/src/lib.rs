@@ -46,7 +46,6 @@
 pub mod audit;
 pub mod bucket;
 pub mod concurrent;
-pub mod cursor;
 mod directory;
 pub mod params;
 pub mod persist;
@@ -58,7 +57,6 @@ pub mod sync;
 pub mod table;
 
 pub use concurrent::ConcurrentDyTis;
-pub use cursor::{CursorInvalidated, ScanCursor};
 pub use params::Params;
 pub use stats::{DytisStats, OpTimes};
 pub use table::{Exclusive, Latched, Mode};
@@ -74,15 +72,6 @@ pub struct Index<M: Mode> {
     params: Params,
     /// First level: `2^R` tables, indexed by the `R` key MSBs.
     tables: Vec<M::Cell<Table<M>>>,
-    /// Mutation generation of the exclusive mode, bumped by every
-    /// `insert`/`remove`. Outstanding [`ScanCursor`]s record the generation
-    /// they were created under so a resume after *any* mutation —
-    /// including the structural ones (split, remapping, expansion,
-    /// directory doubling) that move pairs or renumber directory positions
-    /// — is detected instead of walking stale structure (see
-    /// [`DyTis::scan_next`]). Latched writes take `&self` and have no
-    /// cursor to guard; they leave it alone.
-    generation: u64,
     /// Times an insert found no in-place repair for its full bucket and
     /// took the split step; in the latched mode that includes the times the
     /// recheck under the table write latch found the work already done.
@@ -116,7 +105,6 @@ impl Clone for DyTis {
         DyTis {
             params: self.params,
             tables: self.tables.clone(),
-            generation: self.generation,
             insert_retries: AtomicU64::new(self.insert_retries()),
         }
     }
@@ -142,7 +130,6 @@ impl<M: Mode> Index<M> {
         Index {
             params,
             tables,
-            generation: 0,
             insert_retries: AtomicU64::new(0),
         }
     }
@@ -257,67 +244,57 @@ impl<M: Mode> Index<M> {
 
     /// Appends pairs in key order from the smallest key `>= start` until
     /// `out` holds `count`: one [`Table::walk`] per table, from the start
-    /// key's position in its table on; empty tables are skipped. The
-    /// latched mode holds each table's read latch across its walk.
+    /// key's position in its table on, until a walk fills the count; empty
+    /// tables are skipped. The latched mode holds each table's read latch
+    /// across its walk.
     fn scan_into(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
         let first = self.table_of(start);
         let (sk, m_total) = (self.sub_key(start), 64 - self.params.first_level_bits);
         for (t, cell) in self.tables.iter().enumerate().skip(first) {
-            if out.len() >= count {
+            let table = M::read(cell);
+            let filled = if table.is_empty() {
+                false
+            } else if t == first {
+                let seek = |seg: &segment::Segment| seg.seek(sk, start, m_total);
+                table.walk(table.dir.index(sk), seek, count, out)
+            } else {
+                table.walk(0, |_| (0, 0), count, out)
+            };
+            if filled {
                 return;
             }
-            let table = M::read(cell);
-            if table.is_empty() {
-                continue;
-            }
-            if t == first {
-                let seek = |seg: &segment::Segment| seg.seek(sk, start, m_total);
-                table.walk(table.dir.index(sk), seek, count, out);
-            } else {
-                table.walk(0, |_| (0, 0), count, out);
-            }
         }
     }
-}
 
-impl DyTis {
-    /// The current mutation generation (see [`DyTis::scan_next`]).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Read-only access to the first-level EH tables (introspection and
-    /// structure analysis).
-    pub fn tables(&self) -> impl Iterator<Item = &Table<Exclusive>> {
-        self.tables.iter().map(|t| &t.0)
-    }
-
-    /// Returns all pairs with keys in `[start, end)`, in ascending order.
+    /// Returns all pairs with keys in `[start, end)`, in ascending order
+    /// (the scan primitive of §3.3 takes a count; SQL-style range queries
+    /// take an upper bound).
     ///
-    /// Pulls batches from a single [`ScanCursor`], so the positioning work
-    /// (first-level table, directory lookup, remapping prediction, bucket
-    /// lower bound) happens once for the whole range instead of once per
-    /// batch (the scan primitive of §3.3 takes a count; SQL-style range
-    /// queries take an upper bound).
+    /// Pulls batches of doubling size through the one scan walk, each
+    /// re-entered just past the last key of the one before, so a range of
+    /// `n` keys is positioned `O(log n)` times. In the latched mode each
+    /// batch is one latched scan, with the served SCAN's contract
+    /// (DESIGN.md §14): the range as a whole is not atomic, so a write
+    /// between two batches is seen exactly when its key lies after the
+    /// earlier batch's last key.
     pub fn range(&self, start: Key, end: Key) -> Vec<(Key, Value)> {
         let mut out = Vec::new();
-        const BATCH: usize = 256;
-        let mut cur = self.scan_cursor(start);
-        loop {
-            let more = self
-                .scan_next(&mut cur, out.len() + BATCH, &mut out)
-                // invariant: the cursor lives entirely under this `&self`
-                // borrow, so no mutation can invalidate it.
-                .expect("cursor created under the same borrow");
+        let (mut from, mut batch) = (start, 256usize);
+        while from < end {
+            let before = out.len();
+            self.scan_into(from, before + batch, &mut out);
             // Keys arrive in ascending order, so pairs at or past the
             // exclusive upper bound form a suffix.
-            let cut = out.partition_point(|&(k, _)| k < end);
-            if cut < out.len() || !more {
+            let cut = before + out[before..].partition_point(|&(k, _)| k < end);
+            if cut < out.len() || out.len() < before + batch {
                 out.truncate(cut);
-                return out;
+                break;
             }
+            // Every pair is below `end`, so the last key + 1 cannot wrap.
+            from = out[out.len() - 1].0 + 1;
+            batch *= 2;
         }
+        out
     }
 
     /// Smallest stored key, or `None` when empty.
@@ -325,6 +302,14 @@ impl DyTis {
         let mut out = Vec::with_capacity(1);
         self.scan_into(0, 1, &mut out);
         out.first().map(|&(k, _)| k)
+    }
+}
+
+impl DyTis {
+    /// Read-only access to the first-level EH tables (introspection and
+    /// structure analysis).
+    pub fn tables(&self) -> impl Iterator<Item = &Table<Exclusive>> {
+        self.tables.iter().map(|t| &t.0)
     }
 }
 
@@ -355,7 +340,6 @@ impl KvIndex for DyTis {
                 }
             }
         }
-        self.generation = self.generation.wrapping_add(1);
     }
 
     fn get(&self, key: Key) -> Option<Value> {
@@ -372,7 +356,6 @@ impl KvIndex for DyTis {
         let seg = &mut table.segs[table.dir.entry(sk) as usize].0;
         let v = remove_step(&table.dir, seg, sk, key, &self.params)?;
         *table.num_keys.get_mut() -= 1;
-        self.generation = self.generation.wrapping_add(1);
         Some(v)
     }
 
@@ -651,31 +634,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn range_query_matches_scan_semantics() {
-        let mut idx = small();
-        for k in 0..5_000u64 {
-            idx.insert(k * 4, k);
-        }
+    /// `range` in mode `M` over `small()` holding `k * 4 -> k` for
+    /// `k < 5_000`, plus `Key::MAX - 1 -> 1` and `Key::MAX -> 2`.
+    fn check_range<M: Mode>(idx: &Index<M>) {
         let got = idx.range(100, 200);
         let want: Vec<(u64, u64)> = (25..50).map(|k| (k * 4, k)).collect();
         assert_eq!(got, want);
         assert!(idx.range(10_000_000, 10_000_001).is_empty());
-        // A range wider than one scan batch.
+        assert!(idx.range(200, 200).is_empty());
+        assert!(idx.range(200, 100).is_empty());
+        // Exactly one first batch: the range ends on its last key.
+        assert_eq!(idx.range(0, 1_024).len(), 256);
+        // A range over several doubling batches.
         let wide = idx.range(0, 20_000);
         assert_eq!(wide.len(), 5_000);
         assert!(wide.windows(2).all(|w| w[0].0 < w[1].0));
+        // The end is exclusive, so `Key::MAX` itself is out of every range.
+        assert_eq!(idx.range(Key::MAX - 1, Key::MAX), vec![(Key::MAX - 1, 1)]);
+        let all = idx.range(0, Key::MAX);
+        assert_eq!(all.len(), 5_001);
+        assert_eq!(all.last(), Some(&(Key::MAX - 1, 1)));
+    }
+
+    #[test]
+    fn range_query_matches_scan_semantics() {
+        assert!(small().range(0, Key::MAX).is_empty());
+        assert!(ConcurrentDyTis::with_params(Params::small())
+            .range(0, Key::MAX)
+            .is_empty());
+        let mut idx = small();
+        for k in 0..5_000u64 {
+            idx.insert(k * 4, k);
+        }
+        idx.insert(Key::MAX - 1, 1);
+        idx.insert(Key::MAX, 2);
+        check_range(&idx);
+        check_range(&ConcurrentDyTis::from(idx));
     }
 
     #[test]
     fn first_key_tracks_minimum() {
+        let both = |idx: &DyTis| {
+            [
+                idx.first_key(),
+                ConcurrentDyTis::from(idx.clone()).first_key(),
+            ]
+        };
         let mut idx = small();
-        assert_eq!(idx.first_key(), None);
+        assert_eq!(both(&idx), [None; 2]);
         idx.insert(500, 1);
         idx.insert(100, 2);
-        assert_eq!(idx.first_key(), Some(100));
+        assert_eq!(both(&idx), [Some(100); 2]);
         idx.remove(100);
-        assert_eq!(idx.first_key(), Some(500));
+        assert_eq!(both(&idx), [Some(500); 2]);
+        // The only key in the last first-level table.
+        idx.remove(500);
+        idx.insert(Key::MAX, 3);
+        assert_eq!(both(&idx), [Some(Key::MAX); 2]);
     }
 
     #[test]

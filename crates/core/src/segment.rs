@@ -197,21 +197,21 @@ impl Segment {
     }
 
     /// Walks buckets from `(b, slot)` on, bulk-appending pairs until `out`
-    /// reaches `count` entries or the segment is exhausted. Returns the
-    /// position to resume from when the count was hit, `None` when the
-    /// segment ran out. The occupancy array lets the walk skip empty
-    /// buckets without dereferencing them.
+    /// reaches `count` entries or the segment is exhausted. Returns `true`
+    /// when the count was hit, `false` when the segment ran out. The
+    /// occupancy array lets the walk skip empty buckets without
+    /// dereferencing them.
     pub fn walk_from(
         &self,
         mut b: usize,
         mut slot: usize,
         count: usize,
         out: &mut Vec<(Key, Value)>,
-    ) -> Option<(usize, usize)> {
+    ) -> bool {
         let nb = self.buckets.len();
         while b < nb {
             if out.len() >= count {
-                return Some((b, slot));
+                return true;
             }
             // Hint the next bucket's arrays in while this one is copied:
             // split key/value vectors mean the walk touches two unrelated
@@ -225,13 +225,13 @@ impl Segment {
             if slot < blen {
                 slot += self.buckets[b].append_range(slot, count - out.len(), out);
                 if slot < blen {
-                    return Some((b, slot)); // Count hit mid-bucket.
+                    return true; // Count hit mid-bucket.
                 }
             }
             b += 1;
             slot = 0;
         }
-        None
+        false
     }
 
     /// All key-value pairs in ascending key order.
@@ -961,21 +961,26 @@ mod tests {
     }
 
     #[test]
-    fn walk_from_streams_and_resumes() {
+    fn walk_from_streams_and_stops_at_count() {
         let p = small_params();
         let keys: Vec<u64> = (0..40).map(|i| i * 5).collect();
         let seg = seg_with(0, &keys, 8, &p);
         let mut all = Vec::new();
-        assert!(seg.walk_from(0, 0, usize::MAX, &mut all).is_none());
+        assert!(!seg.walk_from(0, 0, usize::MAX, &mut all));
         assert_eq!(all, seg.sorted_pairs());
 
-        // Resume in small steps: the concatenation must equal one pass.
-        let mut stepped = Vec::new();
-        let (mut b, mut s) = (0, 0);
-        while let Some((nb, ns)) = seg.walk_from(b, s, stepped.len() + 7, &mut stepped) {
-            (b, s) = (nb, ns);
+        // A count hit (mid-bucket or on a bucket edge) reports `true` and
+        // leaves exactly the prefix of one pass.
+        for count in [1, 7, 39] {
+            let mut some = Vec::new();
+            assert!(seg.walk_from(0, 0, count, &mut some));
+            assert_eq!(some, all[..count]);
         }
-        assert_eq!(stepped, all);
+        // Entered at `seek`'s position, the walk streams the tail.
+        let (b, slot) = seg.seek(101, 101, 8);
+        let mut tail = Vec::new();
+        assert!(!seg.walk_from(b, slot, usize::MAX, &mut tail));
+        assert_eq!(tail, all[all.partition_point(|&(k, _)| k < 101)..]);
     }
 
     #[test]

@@ -246,15 +246,15 @@ impl<M: Mode> Table<M> {
     /// bulk-appending pairs until `out` holds `count` entries. The first
     /// segment is entered at the (bucket, slot) `first` picks in it, every
     /// later one at its start; in the latched mode each segment is walked
-    /// under its own read latch, one at a time. Returns the position to
-    /// resume from, or `None` once the table is exhausted.
+    /// under its own read latch, one at a time. Returns whether the count
+    /// was filled; `false` means the table ran out first.
     pub(crate) fn walk(
         &self,
         mut idx: usize,
         first: impl FnOnce(&Segment) -> (usize, usize),
         count: usize,
         out: &mut Vec<(Key, Value)>,
-    ) -> Option<(usize, usize, usize)> {
+    ) -> bool {
         let entries = self.dir.entries();
         let mut first = Some(first);
         while idx < entries.len() {
@@ -262,7 +262,7 @@ impl<M: Mode> Table<M> {
             let next = self.dir.next_index(idx, seg.local_depth);
             // Hint the next span's segment in while this one is walked, so
             // crossing a segment boundary does not stall on its first
-            // bucket (the cursor's dominant cache miss on long scans).
+            // bucket (the dominant cache miss on long scans).
             let after = entries
                 .get(next)
                 .and_then(|&n| M::peek(&self.segs[n as usize]));
@@ -270,12 +270,12 @@ impl<M: Mode> Table<M> {
                 crate::simd::prefetch_slice(bucket.keys());
             }
             let (b, slot) = first.take().map_or((0, 0), |f| f(&seg));
-            if let Some((nb, ns)) = seg.walk_from(b, slot, count, out) {
-                return Some((idx, nb, ns));
+            if seg.walk_from(b, slot, count, out) {
+                return true;
             }
             idx = next;
         }
-        None
+        false
     }
 
     /// The split step for sub-key `sk`'s segment, under `&mut self` — the

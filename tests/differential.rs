@@ -359,64 +359,55 @@ fn differential_durable_store_kill_and_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The scan cursor and `range` must agree with `BTreeMap::range` over a
+/// `range` must agree with `BTreeMap::range` in both latch modes over a
 /// mixed-trace-built index (so splits, remaps, expansions, doublings, and
 /// deletions have all reshaped the structure), from many start points and
-/// with uneven batch sizes.
+/// widths, and over the whole key space.
 #[test]
-fn differential_dytis_cursor_and_range() {
+fn differential_dytis_range_both_modes() {
     let mut idx = DyTis::with_params(Params::small());
+    let served = ConcurrentDyTis::with_params(Params::small());
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     for &op in &generate_trace(0xD1FF_0004, OPS.min(30_000)) {
         match op {
             TraceOp::Insert(k, v) | TraceOp::Update(k, v) => {
                 idx.insert(k, v);
+                ConcurrentKvIndex::insert(&served, k, v);
                 oracle.insert(k, v);
             }
             TraceOp::Delete(k) => {
                 idx.remove(k);
+                ConcurrentKvIndex::remove(&served, k);
                 oracle.remove(&k);
             }
             _ => {}
         }
     }
 
-    // Whole-index walk through one cursor, pulled in uneven batches, must
-    // concatenate to exactly the oracle's ascending pair sequence.
-    let mut cur = idx.scan_cursor(0);
-    let mut got = Vec::new();
-    let mut batch = 1usize;
-    while idx
-        .scan_next(&mut cur, got.len() + batch, &mut got)
-        .expect("no mutation during cursor walk")
-    {
-        batch = batch % 61 + 7;
-    }
-    let want: Vec<(Key, Value)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-    assert_eq!(got, want, "cursor full walk diverged");
+    let want: Vec<(Key, Value)> = oracle.range(..Key::MAX).map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(idx.range(0, Key::MAX), want, "DyTis full range diverged");
+    assert_eq!(
+        served.range(0, Key::MAX),
+        want,
+        "ConcurrentDyTis full range diverged"
+    );
 
     let mut rng = StdRng::seed_from_u64(0xD1FF_0005);
     // Range queries of assorted positions and widths vs BTreeMap::range.
     for _ in 0..200 {
         let a = scramble(rng.gen_range(0..KEY_SPACE));
         let b = a.saturating_add(rng.gen_range(1u64..1 << 48));
-        let got = idx.range(a, b);
         let want: Vec<(Key, Value)> = oracle.range(a..b).map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, want, "range({a:#x}, {b:#x}) diverged");
-    }
-    // Cursors opened mid-keyspace agree with oracle tails.
-    for _ in 0..50 {
-        let start = scramble(rng.gen_range(0..KEY_SPACE)) ^ rng.gen_range(0u64..1024);
-        let mut cur = idx.scan_cursor(start);
-        let mut got = Vec::new();
-        idx.scan_next(&mut cur, 100, &mut got)
-            .expect("no mutation during cursor walk");
-        let want: Vec<(Key, Value)> = oracle
-            .range(start..)
-            .take(100)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        assert_eq!(got, want, "cursor from {start:#x} diverged");
+        assert_eq!(
+            idx.range(a, b),
+            want,
+            "DyTis range({a:#x}, {b:#x}) diverged"
+        );
+        assert_eq!(
+            served.range(a, b),
+            want,
+            "ConcurrentDyTis range({a:#x}, {b:#x}) diverged"
+        );
     }
 }
 
