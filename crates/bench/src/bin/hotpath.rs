@@ -27,8 +27,11 @@
 //! insert loop, and — only when the AVX2 kernel is actually dispatched —
 //! hint-window probes >=1.2x over the branchless reference plus a >=1.05x
 //! no-regression floor on the (memory-bound) full-bucket cell (all
-//! relaxed under `--smoke`, where boundary noise dominates). With `--features metrics` the obs
-//! registry snapshot is embedded in the JSON.
+//! relaxed under `--smoke`, where boundary noise dominates). Each speedup
+//! is the median of [`ROUNDS`] rounds whose first leg alternates, so one
+//! round that a noisy neighbour slowed moves neither the reported cells
+//! nor the verdict. With `--features metrics` the obs registry snapshot is
+//! embedded in the JSON.
 //!
 //! Every cell also reports cycles/op from `rdtsc` where the target has it
 //! (`simd::cycles_now`), falling back to a wall-clock-only cell elsewhere.
@@ -37,6 +40,9 @@ use dytis::{simd, DyTis};
 use index_traits::{BulkLoad, KvIndex};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Rounds behind every reported speedup; odd, so the median is one round.
+const ROUNDS: usize = 5;
 
 struct Cell {
     label: String,
@@ -106,6 +112,30 @@ fn make_pairs(n: u64) -> Vec<(u64, u64)> {
     pairs
 }
 
+/// Runs `a` and `b`, `a` first when `a_first`, and returns `(a, b)`.
+fn in_order<T>(a_first: bool, a: impl FnOnce() -> T, b: impl FnOnce() -> T) -> (T, T) {
+    if a_first {
+        let x = a();
+        (x, b())
+    } else {
+        let y = b();
+        (a(), y)
+    }
+}
+
+/// Runs [`ROUNDS`] rounds of `round`, which times a `(reference, new)`
+/// pair with the reference leg first when handed `true` (even rounds),
+/// and returns the cells of the round whose speedup — new ops/s over
+/// reference ops/s — is the median, with that speedup.
+fn median_round(mut round: impl FnMut(bool) -> (Cell, Cell)) -> (Cell, Cell, f64) {
+    let speedup = |(r, n): &(Cell, Cell)| n.ops_per_sec() / r.ops_per_sec();
+    let mut rounds: Vec<(Cell, Cell)> = (0..ROUNDS).map(|r| round(r % 2 == 0)).collect();
+    rounds.sort_by(|a, b| speedup(a).total_cmp(&speedup(b)));
+    let mid = rounds.swap_remove(ROUNDS / 2);
+    let s = speedup(&mid);
+    (mid.0, mid.1, s)
+}
+
 fn build_by_inserts(pairs: &[(u64, u64)]) -> (DyTis, Cell) {
     let t = Timer::start();
     let mut idx = DyTis::new();
@@ -132,6 +162,10 @@ fn probe_pass(
     probes: &[u64],
     offset: usize,
 ) -> Cell {
+    // Both legs call their kernel through an opaque pointer, as the index
+    // calls the dispatched one: a reference inlined into this loop timed
+    // slower than the function it stands for and inflated the ratio.
+    let f = black_box(f);
     let t = Timer::start();
     let mut acc = 0usize;
     for (j, &p) in probes.iter().enumerate() {
@@ -145,10 +179,10 @@ fn probe_pass(
 }
 
 /// Kernel A/B microbench over bucket-shaped sorted arrays with a 50/50
-/// hit/near-miss probe mix. The two legs alternate within each round so
-/// a noisy-neighbour stall hits both, and each leg keeps its fastest
-/// round (min-of-k estimates the uncontended cost on a shared box; the
-/// mean would smear the stalls in).
+/// hit/near-miss probe mix. Within a round the two legs alternate over
+/// the same slices of the probe stream so a noisy-neighbour stall hits
+/// both, and each leg keeps its fastest slice (min-of-k estimates the
+/// uncontended cost on a shared box; the mean would smear the stalls in).
 fn probe_kernels(
     label_ref: &str,
     f_ref: fn(&[u64], u64) -> usize,
@@ -156,24 +190,30 @@ fn probe_kernels(
     f_new: fn(&[u64], u64) -> usize,
     buckets: &[Vec<u64>],
     probes: &[u64],
-) -> (Cell, Cell) {
-    const ROUNDS: usize = 4;
-    let per_round = probes.len() / ROUNDS;
-    let mut best: Option<(Cell, Cell)> = None;
-    for r in 0..ROUNDS {
-        let off = r * per_round;
-        let round = &probes[off..off + per_round];
-        let cr = probe_pass(label_ref, f_ref, buckets, round, off);
-        let cn = probe_pass(label_new, f_new, buckets, round, off);
-        best = Some(match best {
-            Some((br, bn)) => (
-                if br.elapsed_s <= cr.elapsed_s { br } else { cr },
-                if bn.elapsed_s <= cn.elapsed_s { bn } else { cn },
-            ),
-            None => (cr, cn),
-        });
-    }
-    best.expect("at least one round")
+) -> (Cell, Cell, f64) {
+    const SLICES: usize = 4;
+    let per_slice = probes.len() / SLICES;
+    median_round(|ref_first| {
+        let mut best: Option<(Cell, Cell)> = None;
+        for s in 0..SLICES {
+            let off = s * per_slice;
+            let slice = &probes[off..off + per_slice];
+            let (cr, cn) = in_order(
+                ref_first,
+                || probe_pass(label_ref, f_ref, buckets, slice, off),
+                || probe_pass(label_new, f_new, buckets, slice, off),
+            );
+            best = Some(match best {
+                Some((br, bn)) => (
+                    if br.elapsed_s <= cr.elapsed_s { br } else { cr },
+                    if bn.elapsed_s <= cn.elapsed_s { bn } else { cn },
+                ),
+                None => (cr, cn),
+            });
+        }
+        // invariant: SLICES > 0, so the loop ran.
+        best.expect("at least one slice")
+    })
 }
 
 fn main() {
@@ -204,25 +244,29 @@ fn main() {
 
     let pairs = make_pairs(n_keys);
 
-    // Phase 1: bulk build.
-    let (loop_idx, loop_cell) = build_by_inserts(&pairs);
-    eprintln!(
-        "[hotpath] {}: {:.0} keys/s",
-        loop_cell.label,
-        loop_cell.ops_per_sec()
-    );
-    let (bulk_idx, bulk_cell) = build_by_bulk_load(&pairs);
-    eprintln!(
-        "[hotpath] {}: {:.0} keys/s",
-        bulk_cell.label,
-        bulk_cell.ops_per_sec()
-    );
-    // Both builds must hold the same data before we time anything on them.
-    assert_eq!(loop_idx.len(), bulk_idx.len(), "builds disagree on len");
-    for &(k, v) in pairs.iter().step_by(997) {
-        assert_eq!(bulk_idx.get(k), Some(v), "bulk build lost key {k:#x}");
+    // Phase 1: bulk build. Every index stays alive until the last round,
+    // so each build allocates fresh memory, as a one-off build does:
+    // reusing what an earlier build freed would hide the first-touch
+    // cost, and the insert loop pays more of it.
+    let mut built: Vec<DyTis> = Vec::with_capacity(2 * ROUNDS);
+    let (loop_cell, bulk_cell, bulk_speedup) = median_round(|ref_first| {
+        let ((loop_idx, loop_cell), (bulk_idx, bulk_cell)) = in_order(
+            ref_first,
+            || build_by_inserts(&pairs),
+            || build_by_bulk_load(&pairs),
+        );
+        // Both builds must hold the same data for the round to count.
+        assert_eq!(loop_idx.len(), bulk_idx.len(), "builds disagree on len");
+        for &(k, v) in pairs.iter().step_by(997) {
+            assert_eq!(bulk_idx.get(k), Some(v), "bulk build lost key {k:#x}");
+        }
+        built.extend([loop_idx, bulk_idx]);
+        (loop_cell, bulk_cell)
+    });
+    drop(built);
+    for c in [&loop_cell, &bulk_cell] {
+        eprintln!("[hotpath] {}: {:.0} keys/s", c.label, c.ops_per_sec());
     }
-    let bulk_speedup = bulk_cell.ops_per_sec() / loop_cell.ops_per_sec();
     eprintln!("[hotpath] bulk load speedup vs insert loop: {bulk_speedup:.2}x");
 
     // Phase 2: the probe kernel in isolation. Bucket-shaped arrays (the
@@ -280,7 +324,7 @@ fn main() {
         );
     };
     let kernel_fn = simd::kernel_fn();
-    let (probe_ref, probe_simd) = probe_kernels(
+    let (probe_ref, probe_simd, probe_speedup) = probe_kernels(
         "probe/branchless",
         simd::lower_bound_branchless,
         &format!("probe/{kernel}"),
@@ -290,9 +334,8 @@ fn main() {
     );
     report(&probe_ref);
     report(&probe_simd);
-    let probe_speedup = probe_simd.ops_per_sec() / probe_ref.ops_per_sec();
     eprintln!("[hotpath] {kernel} full-bucket probe speedup vs branchless: {probe_speedup:.2}x");
-    let (window_ref, window_simd) = probe_kernels(
+    let (window_ref, window_simd, window_speedup) = probe_kernels(
         "window/branchless",
         simd::lower_bound_branchless,
         &format!("window/{kernel}"),
@@ -302,7 +345,6 @@ fn main() {
     );
     report(&window_ref);
     report(&window_simd);
-    let window_speedup = window_simd.ops_per_sec() / window_ref.ops_per_sec();
     eprintln!("[hotpath] {kernel} hint-window speedup vs branchless: {window_speedup:.2}x");
 
     let mut json = String::from("{");

@@ -19,7 +19,9 @@
 //! (IEEE, reflected 0xEDB88320) covers header + payload; a mismatch is a
 //! transport fault, not a request, so the server answers
 //! [`ERR_BAD_FRAME`] and closes — a frame stream has no marker to resync
-//! at.
+//! at. [`crc32`] is slicing-by-8 over 8 KiB of `const`-built tables:
+//! 0.71 ns/byte in a traced `net_batch` run, against 2.97 for a bytewise
+//! table loop (2-vCPU Intel Xeon VM, one CPU).
 //!
 //! A request is complete only at its last CRC byte. Bytes after the last
 //! whole frame when the peer closes (or half-closes) are a truncated
@@ -125,8 +127,12 @@ pub fn err_message(code: u64) -> &'static str {
 // CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables (Kounavis & Berry, ISCC 2005): `t[0][b]` is the
+/// CRC of byte `b` alone, and `t[k][b]` is `t[k - 1][b]` pushed through
+/// one more zero byte, i.e. the contribution of `b` when `k` bytes follow
+/// it in the same 8-byte step. 8 KiB in all.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -139,19 +145,46 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of `bytes`.
+/// CRC32 (IEEE) of `bytes`, eight bytes per table step: the eight lookups
+/// of a step are independent, so they overlap instead of forming the
+/// bytewise loop's one-load-per-byte dependency chain.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        // invariant: chunks_exact(8) yields exactly 8-byte slices.
+        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let (lo, hi) = (c ^ w as u32, (w >> 32) as u32);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -311,6 +344,37 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// The bytewise definition `crc32` must match: one table step per
+    /// byte, over `CRC32_TABLES[0]`.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Every length 0..=64 at every start offset 0..8, so each slice
+    /// alignment meets each 8-byte-step / remainder split.
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..72)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

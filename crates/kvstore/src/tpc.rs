@@ -336,26 +336,26 @@ impl Conn {
         self.outbuf.len() - self.out_pos
     }
 
-    /// Reads what the socket has, answers the complete requests, and
-    /// flushes. Returns `false` when the connection should close now.
-    fn read_and_serve(&mut self, shared: &Shared, me: usize) -> bool {
-        let mut tmp = [0u8; READ_CHUNK];
+    /// Reads what the socket has through the worker's `chunk` buffer,
+    /// answers the complete requests, and flushes. Returns `false` when the
+    /// connection should close now.
+    fn read_and_serve(&mut self, shared: &Shared, me: usize, chunk: &mut [u8]) -> bool {
         let mut applied = 0usize;
         while self.unsent() < OUTBUF_HIGH_WATER && !self.closing {
-            match self.stream.read(&mut tmp) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.peer_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&tmp[..n]);
+                    self.inbuf.extend_from_slice(&chunk[..n]);
                     // Parse after every chunk so an endless frameless
                     // stream is refused from its first header and `inbuf`
                     // stays O(frame cap), not O(stream).
                     if !self.serve_input(shared, me, &mut applied) {
                         return false;
                     }
-                    if n < tmp.len() {
+                    if n < chunk.len() {
                         break;
                     }
                 }
@@ -551,6 +551,10 @@ struct Worker {
     shared: Arc<Shared>,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
+    /// The one [`READ_CHUNK`] buffer every read of this worker goes
+    /// through, allocated once: bytes leave it for a connection's `inbuf`
+    /// before the next read, so no connection owns it between wakeups.
+    read_buf: Box<[u8]>,
 }
 
 impl Worker {
@@ -561,6 +565,7 @@ impl Worker {
             shared,
             conns: HashMap::new(),
             next_conn_id: 0,
+            read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
         }
     }
 
@@ -599,7 +604,11 @@ impl Worker {
             if ready > 0 {
                 obs::counter!("kv.wakeups").inc();
             }
-            self.shared.wakes[self.id].drain();
+            // Only a wakeup that came through the pipe left bytes in it;
+            // draining on every wakeup would cost a `read(2)` that fails.
+            if entries[0].readable() {
+                self.shared.wakes[self.id].drain();
+            }
 
             // 1. Accept any pending connections (admission-controlled).
             if entries[1].readable() {
@@ -615,7 +624,7 @@ impl Worker {
                 };
                 let open = if entry.readable() {
                     conn.last_active = Instant::now();
-                    conn.read_and_serve(&self.shared, self.id)
+                    conn.read_and_serve(&self.shared, self.id, &mut self.read_buf)
                 } else {
                     !entry.writable() || conn.flush(&self.shared, self.id)
                 };

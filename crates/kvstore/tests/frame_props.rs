@@ -8,7 +8,7 @@
 //! so the default offline test run stays lean.
 #![cfg(feature = "proptest")]
 
-use kvstore::frame::{encode_frame, try_decode, Decoded};
+use kvstore::frame::{crc32, encode_frame, try_decode, Decoded};
 use proptest::prelude::*;
 
 fn arb_words(max: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -19,6 +19,23 @@ fn encoded(op: u8, words: &[u64]) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_frame(&mut buf, op, words);
     buf
+}
+
+/// CRC32 (IEEE, reflected 0xEDB88320) one bit at a time: the definition,
+/// with no table shared with the codec.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
 }
 
 /// What a connection does with its input buffer: decode and consume whole
@@ -47,6 +64,13 @@ proptest! {
     #[test]
     fn try_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = try_decode(&bytes);
+    }
+
+    /// The codec's table-driven CRC equals the bitwise definition on any
+    /// bytes, at any length: the 8-byte steps and the bytewise tail agree.
+    #[test]
+    fn crc32_matches_the_bitwise_definition(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
     }
 
     /// Every frame survives encode -> decode unchanged and is consumed

@@ -2,7 +2,7 @@
 //! with `ERR_BUSY` admission, capped frames, idle reaping, a
 //! deadline-bounded drain, and raw wire abuse that must never be applied,
 //! leak memory or stall another connection; plus the served SCAN contract
-//! while another worker writes. Every server here but one runs ≥ 2 workers
+//! while another worker writes. Every server here but two runs ≥ 2 workers
 //! over one shared index, and most raw cases dial worker 1 (`far_conn`),
 //! so they run on a worker other than the one `addr()` names.
 
@@ -385,6 +385,55 @@ fn trickled_request_is_answered() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_eq!(recv(&mut stream), (frame::RESP_GET, vec![1, 90]));
+    server.shutdown();
+}
+
+/// A worker reads every connection through one read buffer. Two sessions
+/// on a one-worker server send SET + GET frames cut mid-frame, each half
+/// interleaved with the other session's halves, so every read holds a
+/// partial frame: each session gets exactly its own replies, in order.
+#[test]
+fn interleaved_half_frames_share_one_read_buffer() {
+    let server = tpc(1, ServerOptions::default());
+    let mut conns = [raw_conn(server.addr()), raw_conn(server.addr())];
+    for round in 0..20u64 {
+        // Session c stores c + 1 pairs under its own keys, then reads them
+        // back: its SET ack and GET values are its own and no one else's.
+        let mut wires = Vec::new();
+        let mut wants = Vec::new();
+        for c in 0..2u64 {
+            let pairs: Vec<(u64, u64)> = (0..=c)
+                .map(|j| {
+                    let k = (c + 1) << 40 | round << 8 | j;
+                    (k, k ^ 0xC0FFEE)
+                })
+                .collect();
+            let mut wire = Vec::new();
+            let set: Vec<u64> = pairs.iter().flat_map(|&(k, v)| [k, v]).collect();
+            frame::encode_frame(&mut wire, frame::OP_SET, &set);
+            let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+            frame::encode_frame(&mut wire, frame::OP_GET, &keys);
+            let got: Vec<u64> = pairs.iter().flat_map(|&(_, v)| [1, v]).collect();
+            wants.push([(frame::RESP_SET, vec![c + 1]), (frame::RESP_GET, got)]);
+            wires.push(wire);
+        }
+        // Cut inside each SET frame: the first half ends mid-payload.
+        let cut = frame::HEADER_LEN + 5;
+        for half in 0..2 {
+            for (c, wire) in wires.iter().enumerate() {
+                let (first, second) = wire.split_at(cut);
+                conns[c]
+                    .write_all(if half == 0 { first } else { second })
+                    .expect("half frame");
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        }
+        for (c, want) in wants.iter().enumerate() {
+            for w in want {
+                assert_eq!(&recv(&mut conns[c]), w, "session {c}, round {round}");
+            }
+        }
+    }
     server.shutdown();
 }
 
