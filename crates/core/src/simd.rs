@@ -1,5 +1,5 @@
-//! Runtime-dispatched probe kernels: wide-compare lower bound, software
-//! prefetch, and a cycle counter for the hotpath bench.
+//! Runtime-dispatched probe kernels: wide-compare lower bound and
+//! software prefetch.
 //!
 //! The per-`get` cost of DyTIS is dominated by the in-bucket probe — a
 //! lower bound over at most `bucket_entries` (128 by default) sorted
@@ -26,8 +26,7 @@
 //! in the interpreter), under the `force-scalar` cargo feature, or when
 //! `DYTIS_FORCE_SCALAR` is set in the environment (the CI dispatch
 //! matrix drives the last two). [`active_kernel`] names the selected
-//! kernel so benches only assert SIMD speedup bars where SIMD actually
-//! dispatched.
+//! kernel, which dybench records in every run's provenance.
 
 // This module is the crate's one sanctioned unsafe boundary: CPU
 // intrinsics behind runtime feature detection. Each unsafe site carries a
@@ -90,14 +89,6 @@ pub fn active_kernel() -> &'static str {
 #[inline]
 pub fn lower_bound(keys: &[u64], key: u64) -> usize {
     (kernel().func)(keys, key)
-}
-
-/// The selected kernel as a bare fn pointer. For A/B harnesses that
-/// compare kernels call-for-call: resolving once strips the per-call
-/// dispatch (`OnceLock` check + second indirection) from the measurement,
-/// so both legs pay the same call overhead.
-pub fn kernel_fn() -> fn(&[u64], u64) -> usize {
-    kernel().func
 }
 
 /// Branchless cmov halving search — the scalar *reference* kernel. Each
@@ -243,21 +234,6 @@ pub fn prefetch_slice<T>(s: &[T]) {
     }
 }
 
-/// Reads the CPU timestamp counter, or `None` where unavailable (non-x86,
-/// miri) — the hotpath bench divides this through op counts for
-/// cycles/op cells and falls back to `Instant`-derived figures on `None`.
-#[inline]
-pub fn cycles_now() -> Option<u64> {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        // justified: RDTSC reads the time-stamp counter register; it
-        // accesses no memory and cannot fault in user mode.
-        Some(unsafe { core::arch::x86_64::_rdtsc() })
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    None
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -325,14 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_and_cycles_are_callable() {
+    fn prefetch_is_callable() {
         let v = [1u64, 2, 3];
         prefetch_slice(&v);
         prefetch_read(std::ptr::null::<u64>()); // hint only: must not fault
-        let a = cycles_now();
-        let b = cycles_now();
-        if let (Some(a), Some(b)) = (a, b) {
-            assert!(b >= a, "tsc went backwards within one thread");
-        }
     }
 }

@@ -145,8 +145,8 @@ impl Default for WalOptions {
 }
 
 /// Always-on commit statistics (plain atomics, independent of the obs
-/// `metrics` feature — the `wal_commit` bench reads these in default
-/// builds, like the maintenance counters of the concurrent indexes).
+/// `metrics` feature — dybench's `wal_group` workload reads these in
+/// default builds, like the maintenance counters of the concurrent indexes).
 #[derive(Debug, Default)]
 struct StatsInner {
     batches: AtomicU64,
