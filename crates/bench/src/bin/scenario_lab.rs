@@ -12,7 +12,7 @@
 //!   TCP server (`TpcServer` over one small-geometry `ConcurrentDyTis`)
 //!   via the blocking `DYF1` client, reading the index's counters
 //!   server-side.
-//! - `--chaos` — additionally runs the chaos leg: a `DurableShardedStore`
+//! - `--chaos` — additionally runs the chaos leg: a `DurableStore`
 //!   is killed mid-drift every few thousand acked mutations, recovered,
 //!   and checked against the acked-op oracle plus a deep audit.
 //! - `--assert-drift` — pins the acceptance bar: the MM→TX drift scenario
@@ -111,9 +111,7 @@ fn run_chaos_leg(scale: usize) -> String {
         &chaos::ChaosOptions {
             kill_every: (scale / 2).max(1),
             durability: DurabilityOptions {
-                shard_bits: 2,
                 ops_per_checkpoint: 0,
-                max_batch_records: 256,
                 params: Params::small(),
             },
             checkpoint_alternate: true,

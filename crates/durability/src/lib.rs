@@ -1,6 +1,7 @@
-//! Durability subsystem: per-shard write-ahead logging with group commit,
+//! Durability subsystem: write-ahead logging with group commit,
 //! CRC64-framed records, checkpoint streams, crash recovery, and
-//! deterministic crash-point fault injection.
+//! deterministic crash-point fault injection. `kvstore::DurableStore`
+//! runs one log and one checkpoint over one latched index.
 //!
 //! The pieces compose into the classic checkpoint + log protocol:
 //!

@@ -4,13 +4,12 @@
 //! systems, such as in-memory databases and key-value stores", and names
 //! two ways to serve it: the latched concurrent index, or "multiple
 //! single-threaded engines … as in H-Store and Redis Cluster". This crate
-//! is that system in miniature, using each where it measured best:
-//! [`TpcServer`], a thread-per-core TCP server whose workers all apply
-//! their own requests to one shared [`dytis::ConcurrentDyTis`], speaking
-//! one wire protocol — the `DYF1` binary frame ([`frame`], blocking
-//! [`BinClient`]); plus the embedded [`DurableShardedStore`],
-//! single-threaded [`dytis::DyTis`] shards partitioned by [`shard_of`]
-//! under a write-ahead log.
+//! is that system in miniature, in the first shape: [`TpcServer`], a
+//! thread-per-core TCP server whose workers all apply their own requests
+//! to one shared [`dytis::ConcurrentDyTis`], speaking one wire protocol —
+//! the `DYF1` binary frame ([`frame`], blocking [`BinClient`]); plus the
+//! embedded [`DurableStore`], one latched [`dytis::ConcurrentDyTis`] under
+//! a write-ahead log and checkpoints.
 //!
 //! # Robustness (DESIGN.md §16)
 //!
@@ -51,19 +50,30 @@
 //! ```
 
 pub mod binclient;
+pub mod durable;
 pub mod frame;
 #[cfg(unix)]
 pub mod reactor;
-pub mod shard;
 #[cfg(unix)]
 pub mod tpc;
 
 pub use binclient::BinClient;
-pub use shard::{shard_of, DurabilityOptions, DurableShardedStore};
+pub use durable::{DurabilityOptions, DurableStore};
 #[cfg(unix)]
 pub use tpc::{TpcOptions, TpcServer};
 
+use index_traits::Key;
 use std::time::Duration;
+
+/// The shard that owns `key` among `shards` shards: contiguous, monotone
+/// key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`). Its one
+/// caller is `benchmark/src/net.rs`, which classifies a key as forwarded
+/// when its shard is not the answering worker's; ROADMAP item 1(f) drops
+/// that share, and this function with it.
+#[inline]
+pub fn shard_of(key: Key, shards: usize) -> usize {
+    ((u128::from(key) * shards as u128) >> 64) as usize
+}
 
 /// Resource envelope for a [`TpcServer`].
 #[derive(Debug, Clone)]
@@ -100,4 +110,24 @@ pub struct DrainReport {
     /// Workers still running when the deadline expired; `shutdown` stopped
     /// waiting for them.
     pub abandoned: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_of_is_monotone_and_total() {
+        for shards in [1usize, 2, 3, 4, 7, 16] {
+            assert_eq!(shard_of(0, shards), 0);
+            assert_eq!(shard_of(u64::MAX, shards), shards - 1);
+            let mut prev = 0;
+            for i in 0..1000u64 {
+                let s = shard_of(i * (u64::MAX / 1000), shards);
+                assert!(s >= prev, "shard_of must be monotone");
+                assert!(s < shards);
+                prev = s;
+            }
+        }
+    }
 }

@@ -1,16 +1,16 @@
-//! Chaos layer: drives a [`DurableShardedStore`] through a drift scenario
-//! and kills it (`kill -9` simulation via [`DurableShardedStore::crash`])
+//! Chaos layer: drives a [`DurableStore`] through a drift scenario
+//! and kills it (`kill -9` simulation via [`DurableStore::crash`])
 //! at intervals mid-stream, asserting after every restart that
 //!
 //! 1. recovery restores exactly the acknowledged-op oracle, and
-//! 2. every shard's deep structural audit comes back clean.
+//! 2. the index's deep structural audit comes back clean.
 //!
 //! This composes the PR 3 crash path with drift-time maintenance: splits,
 //! remaps, and shrinks are in flight when the process dies.
 
 use crate::stream::{CompiledScenario, ScenarioOp, SCAN_COUNT};
 use index_traits::{Key, Value};
-use kvstore::{DurabilityOptions, DurableShardedStore};
+use kvstore::{DurabilityOptions, DurableStore};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -40,7 +40,7 @@ pub struct ChaosReport {
     pub audit_checks: usize,
 }
 
-fn verify(store: &DurableShardedStore, oracle: &BTreeMap<Key, Value>, when: &str) -> usize {
+fn verify(store: &DurableStore, oracle: &BTreeMap<Key, Value>, when: &str) -> usize {
     assert_eq!(
         store.len(),
         oracle.len(),
@@ -77,7 +77,7 @@ pub fn run_chaos(
     opts: &ChaosOptions,
 ) -> io::Result<ChaosReport> {
     assert!(opts.kill_every > 0);
-    let mut store = Some(DurableShardedStore::open(dir, opts.durability)?);
+    let mut store = Some(DurableStore::open(dir, opts.durability)?);
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     let mut acked = 0usize;
     let mut since_kill = 0usize;
@@ -122,7 +122,7 @@ pub fn run_chaos(
             }
             s.crash();
             kills += 1;
-            let reopened = DurableShardedStore::open(dir, opts.durability)?;
+            let reopened = DurableStore::open(dir, opts.durability)?;
             audit_checks += verify(&reopened, &oracle, &format!("after kill {kills}"));
             store = Some(reopened);
         }
@@ -131,7 +131,7 @@ pub fn run_chaos(
     // invariant: the loop above always leaves `store` repopulated.
     let s = store.take().expect("store open");
     s.crash();
-    let reopened = DurableShardedStore::open(dir, opts.durability)?;
+    let reopened = DurableStore::open(dir, opts.durability)?;
     audit_checks += verify(&reopened, &oracle, "final recovery");
     let final_len = reopened.len();
     reopened.shutdown()?;
@@ -171,9 +171,7 @@ mod tests {
             &ChaosOptions {
                 kill_every: 500,
                 durability: DurabilityOptions {
-                    shard_bits: 1,
                     ops_per_checkpoint: 0,
-                    max_batch_records: 64,
                     params: dytis::Params::small(),
                 },
                 checkpoint_alternate: true,

@@ -17,7 +17,7 @@
 //! - [`timeline`] — the per-phase JSON timeline (`BENCH_scenarios.json`).
 //! - [`builtin`] — the standard battery: MM→TX drift (plus its stationary
 //!   control), hot-key storm, delete-heavy shrink.
-//! - [`chaos`] — kills a `DurableShardedStore` mid-drift and asserts WAL
+//! - [`chaos`] — kills a `DurableStore` mid-drift and asserts WAL
 //!   recovery, oracle agreement, and a clean deep audit.
 //!
 //! See DESIGN.md §13 for the architecture and EXPERIMENTS.md for how to

@@ -18,7 +18,7 @@ use dytis_repro::alex_index::Alex;
 use dytis_repro::dytis::{ConcurrentDyTis, DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, KvIndex, Value};
-use dytis_repro::kvstore::{DurabilityOptions, DurableShardedStore};
+use dytis_repro::kvstore::{DurabilityOptions, DurableStore};
 use dytis_repro::lipp::Lipp;
 use dytis_repro::stx_btree::BPlusTree;
 use dytis_repro::xindex::XIndex;
@@ -273,8 +273,8 @@ fn differential_cceh() {
     differential(Cceh::new, false);
 }
 
-/// Kill-and-recover lockstep: the durable sharded store runs the same style
-/// of mixed trace against the oracle, but is killed (WAL committers abort,
+/// Kill-and-recover lockstep: the durable store runs the same style of
+/// mixed trace against the oracle, but is killed (the WAL committer aborts,
 /// nothing flushes gracefully) and recovered from disk at every batch
 /// boundary. Since every mutation here is acknowledged before the trace
 /// advances, recovery must reproduce the oracle *exactly* after each kill —
@@ -295,12 +295,10 @@ fn differential_durable_store_kill_and_recover() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = DurabilityOptions {
-        shard_bits: 2,
         ops_per_checkpoint: 0,
-        max_batch_records: 256,
         ..DurabilityOptions::default()
     };
-    let mut store = Some(DurableShardedStore::open(&dir, opts).expect("open"));
+    let mut store = Some(DurableStore::open(&dir, opts).expect("open"));
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     let trace = generate_trace(0xD1FF_0003, DURABLE_OPS);
     let mut kills = 0usize;
@@ -341,7 +339,7 @@ fn differential_durable_store_kill_and_recover() {
                 s.checkpoint_now().expect("checkpoint before kill");
             }
             s.crash();
-            let s = DurableShardedStore::open(&dir, opts).expect("recover");
+            let s = DurableStore::open(&dir, opts).expect("recover");
             assert_eq!(s.len(), oracle.len(), "kill {kills}: len diverged");
             let got = s.scan(0, oracle.len() + 16);
             let want: Vec<(Key, Value)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();

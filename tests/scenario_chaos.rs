@@ -1,8 +1,8 @@
-//! Chaos recovery under drift: a `DurableShardedStore` replays built-in
+//! Chaos recovery under drift: a `DurableStore` replays built-in
 //! drift scenarios and is killed (`crash()`, the kill -9 simulation from
 //! the durability layer) repeatedly mid-stream — while segment splits,
 //! remaps, and shrinks are in flight. After every restart the recovered
-//! state must match the acked-op oracle exactly and every shard's deep
+//! state must match the acked-op oracle exactly and the index's deep
 //! audit must come back clean.
 
 use dytis_repro::dytis::Params;
@@ -26,9 +26,7 @@ fn opts(kill_every: usize) -> chaos::ChaosOptions {
     chaos::ChaosOptions {
         kill_every,
         durability: DurabilityOptions {
-            shard_bits: 2,
             ops_per_checkpoint: 0,
-            max_batch_records: 128,
             // Small geometry: maintenance (including shrink) is in flight
             // when the kill lands.
             params: Params::small(),
