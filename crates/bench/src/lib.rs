@@ -88,84 +88,12 @@ impl IndexKind {
     }
 }
 
-/// A type-erased index handle so the harness can drive all five kinds
-/// through one code path.
-pub enum AnyIndex {
-    /// DyTIS.
-    Dytis(Box<DyTis>),
-    /// ALEX.
-    Alex(Box<Alex>),
-    /// XIndex.
-    XIndex(Box<XIndex>),
-    /// B+-tree.
-    BTree(Box<BPlusTree>),
-}
-
-impl KvIndex for AnyIndex {
-    fn insert(&mut self, key: Key, value: Value) {
-        match self {
-            AnyIndex::Dytis(i) => i.insert(key, value),
-            AnyIndex::Alex(i) => i.insert(key, value),
-            AnyIndex::XIndex(i) => i.insert(key, value),
-            AnyIndex::BTree(i) => i.insert(key, value),
-        }
-    }
-    fn get(&self, key: Key) -> Option<Value> {
-        match self {
-            AnyIndex::Dytis(i) => i.get(key),
-            AnyIndex::Alex(i) => i.get(key),
-            AnyIndex::XIndex(i) => i.get(key),
-            AnyIndex::BTree(i) => i.get(key),
-        }
-    }
-    fn remove(&mut self, key: Key) -> Option<Value> {
-        match self {
-            AnyIndex::Dytis(i) => i.remove(key),
-            AnyIndex::Alex(i) => i.remove(key),
-            AnyIndex::XIndex(i) => i.remove(key),
-            AnyIndex::BTree(i) => i.remove(key),
-        }
-    }
-    fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
-        match self {
-            AnyIndex::Dytis(i) => i.scan(start, count, out),
-            AnyIndex::Alex(i) => i.scan(start, count, out),
-            AnyIndex::XIndex(i) => i.scan(start, count, out),
-            AnyIndex::BTree(i) => i.scan(start, count, out),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::Dytis(i) => i.len(),
-            AnyIndex::Alex(i) => i.len(),
-            AnyIndex::XIndex(i) => i.len(),
-            AnyIndex::BTree(i) => i.len(),
-        }
-    }
-    fn name(&self) -> &'static str {
-        match self {
-            AnyIndex::Dytis(i) => i.name(),
-            AnyIndex::Alex(i) => i.name(),
-            AnyIndex::XIndex(i) => i.name(),
-            AnyIndex::BTree(i) => i.name(),
-        }
-    }
-    fn memory_bytes(&self) -> usize {
-        match self {
-            AnyIndex::Dytis(i) => i.memory_bytes(),
-            AnyIndex::Alex(i) => i.memory_bytes(),
-            AnyIndex::XIndex(i) => i.memory_bytes(),
-            AnyIndex::BTree(i) => i.memory_bytes(),
-        }
-    }
-}
-
 /// Outcome of the loading phase: the ready index and the measured insert
 /// throughput over the *non-bulk-loaded* keys (the paper excludes bulk
 /// loaded keys from Load results, §4.3).
 pub struct Loaded {
     /// The index holding `load_fraction` of the dataset.
-    pub index: AnyIndex,
+    pub index: Box<dyn KvIndex>,
     /// Measured Load-phase summary (inserted keys only).
     pub load_summary: Summary,
     /// Peak memory across the loading protocol, including the transient
@@ -184,18 +112,18 @@ pub fn build_index(kind: IndexKind, keys: &[Key], load_fraction_pct: u32) -> Loa
     let mut bulk: Vec<(Key, Value)> = to_load[..bulk_n].iter().map(|&k| (k, k)).collect();
     bulk.sort_unstable();
     bulk.dedup_by_key(|p| p.0);
-    let mut index = match kind {
-        IndexKind::Dytis => AnyIndex::Dytis(Box::new(DyTis::new())),
-        IndexKind::Alex(_) => AnyIndex::Alex(Box::new(Alex::bulk_load(&bulk))),
-        IndexKind::XIndex => AnyIndex::XIndex(Box::new(XIndex::bulk_load(&bulk))),
-        IndexKind::BTree => AnyIndex::BTree(Box::new(BPlusTree::new())),
+    let mut index: Box<dyn KvIndex> = match kind {
+        IndexKind::Dytis => Box::new(DyTis::new()),
+        IndexKind::Alex(_) => Box::new(Alex::bulk_load(&bulk)),
+        IndexKind::XIndex => Box::new(XIndex::bulk_load(&bulk)),
+        IndexKind::BTree => Box::new(BPlusTree::new()),
     };
     let after_bulk = index.memory_bytes() + bulk.capacity() * 16;
     let ops: Vec<Op> = to_load[bulk_n..]
         .iter()
         .map(|&k| Op::Insert(k, k))
         .collect();
-    let load_summary = run_ops(&mut index, &ops);
+    let load_summary = run_ops(&mut *index, &ops);
     let peak_bytes = index.memory_bytes().max(after_bulk);
     Loaded {
         index,
@@ -213,13 +141,13 @@ pub fn run_workload(kind: IndexKind, keys: &[Key], workload: Workload, n_ops: us
         Workload::A | Workload::B | Workload::C | Workload::F => {
             let mut loaded = build_index(kind, keys, 100);
             let ops = generate_ops(workload, keys, &[], n_ops, 0xFEED);
-            run_ops(&mut loaded.index, &ops)
+            run_ops(&mut *loaded.index, &ops)
         }
         Workload::Dp | Workload::E => {
             let split = keys.len() * 80 / 100;
             let mut loaded = build_index(kind, keys, 80);
             let ops = generate_ops(workload, &keys[..split], &keys[split..], n_ops, 0xFEED);
-            run_ops(&mut loaded.index, &ops)
+            run_ops(&mut *loaded.index, &ops)
         }
     }
 }
@@ -232,11 +160,6 @@ pub fn print_header(title: &str, cols: &[&str]) {
         "|{}|",
         cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
     );
-}
-
-/// Formats a throughput cell in M ops/s.
-pub fn mops_cell(s: &Summary) -> String {
-    format!("{:.2}", s.mops)
 }
 
 #[cfg(test)]

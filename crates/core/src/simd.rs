@@ -23,10 +23,10 @@
 //! Selection happens **once**, on the first probe (`OnceLock`), never
 //! per call: AVX2 when `is_x86_feature_detected!` says so, scalar
 //! otherwise, and scalar unconditionally under `cfg(miri)` (no intrinsics
-//! in the interpreter), under the `force-scalar` cargo feature, or when
-//! `DYTIS_FORCE_SCALAR` is set in the environment (the CI dispatch
-//! matrix drives the last two). [`active_kernel`] names the selected
-//! kernel, which dybench records in every run's provenance.
+//! in the interpreter) or when `DYTIS_FORCE_SCALAR` is set in the
+//! environment (the CI dispatch matrix drives the latter). [`active_kernel`]
+//! names the selected kernel, which dybench records in every run's
+//! provenance.
 
 // This module is the crate's one sanctioned unsafe boundary: CPU
 // intrinsics behind runtime feature detection. Each unsafe site carries a
@@ -61,10 +61,7 @@ fn select_kernel() -> Kernel {
         func: lower_bound_scalar,
         name: "scalar",
     };
-    if cfg!(any(miri, feature = "force-scalar")) {
-        return scalar;
-    }
-    if std::env::var_os("DYTIS_FORCE_SCALAR").is_some() {
+    if cfg!(miri) || std::env::var_os("DYTIS_FORCE_SCALAR").is_some() {
         return scalar;
     }
     #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -295,7 +292,7 @@ mod tests {
         let k = active_kernel();
         assert!(k == "avx2" || k == "scalar", "unexpected kernel {k}");
         assert_eq!(active_kernel(), k, "selection must be one-time");
-        if cfg!(any(miri, feature = "force-scalar")) {
+        if cfg!(miri) || std::env::var_os("DYTIS_FORCE_SCALAR").is_some() {
             assert_eq!(k, "scalar");
         }
     }

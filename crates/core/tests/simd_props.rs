@@ -4,9 +4,9 @@
 //! with the branchless reference and with `partition_point` on every
 //! input: all lengths through several vector widths (so every lane
 //! remainder 0..8 is hit), adjacent duplicates, probes at/around stored
-//! keys, and the extremes. Under miri (or `--features force-scalar`) the
-//! dispatcher pins itself to the scalar kernel, so the same suite proves
-//! the fallback too.
+//! keys, and the extremes. Under miri (or with `DYTIS_FORCE_SCALAR` set)
+//! the dispatcher pins itself to the scalar kernel, so the same suite
+//! proves the fallback too.
 //!
 //! Gated behind the `proptest` feature (`cargo test --features proptest`)
 //! so the default offline test run stays lean.

@@ -227,14 +227,6 @@ pub fn stats(keys: &[u64]) -> DatasetStats {
     }
 }
 
-/// Reads the standard scale knob: `DYTIS_KEYS` (default `default_n`).
-pub fn scale_from_env(default_n: usize) -> usize {
-    std::env::var("DYTIS_KEYS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,6 @@
 use crate::frame::{self, FrameHeader};
 use std::io::{BufReader, BufWriter, Error, ErrorKind, Result, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 fn protocol_err(msg: String) -> Error {
     Error::new(ErrorKind::InvalidData, msg)
@@ -82,16 +81,6 @@ impl BinClient {
         let mut writer = BufWriter::new(stream);
         writer.write_all(&frame::PREAMBLE)?;
         Ok(BinClient { reader, writer })
-    }
-
-    /// Sets read/write timeouts on the underlying socket.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket option error.
-    pub fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> Result<()> {
-        self.reader.get_ref().set_read_timeout(read)?;
-        self.writer.get_ref().set_write_timeout(write)
     }
 
     fn round_trip(&mut self, op: u8, words: &[u64]) -> Result<(FrameHeader, Vec<u64>)> {

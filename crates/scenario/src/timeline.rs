@@ -1,5 +1,5 @@
 //! Timeline data model and its hand-rolled JSON serialization (the repo
-//! vendors no serde; see `bench/src/bin/ycsb_mt.rs` for the idiom).
+//! vendors no serde; see `bench/src/bin/fig12_concurrency.rs` for the idiom).
 
 use index_traits::MaintenanceStats;
 

@@ -266,8 +266,7 @@ pub struct Summary {
 ///
 /// Public so multi-threaded drivers can concatenate per-thread latency
 /// vectors (see [`run_ops_concurrent_latencies`]) and extract *exact*
-/// aggregate percentiles, instead of the worst-thread approximation of
-/// [`merge_summaries`].
+/// aggregate percentiles over the cell's wall clock.
 pub fn summarize(latencies: &mut [u64], elapsed_ns: u64) -> Summary {
     let ops = latencies.len();
     latencies.sort_unstable();
@@ -303,7 +302,7 @@ pub fn summarize(latencies: &mut [u64], elapsed_ns: u64) -> Summary {
 /// Executes `ops` against `idx`, recording per-operation latency.
 ///
 /// `consume` defends against dead-code elimination of read results.
-pub fn run_ops<I: KvIndex>(idx: &mut I, ops: &[Op]) -> Summary {
+pub fn run_ops<I: KvIndex + ?Sized>(idx: &mut I, ops: &[Op]) -> Summary {
     let mut latencies = Vec::with_capacity(ops.len());
     let mut scan_buf = Vec::with_capacity(SCAN_LEN);
     let mut sink = 0u64;
@@ -333,16 +332,10 @@ pub fn run_ops<I: KvIndex>(idx: &mut I, ops: &[Op]) -> Summary {
     summarize(&mut latencies, elapsed)
 }
 
-/// Executes `ops` against a concurrent index from one thread (callers fan
-/// out threads themselves and merge the per-thread summaries).
-pub fn run_ops_concurrent<I: ConcurrentKvIndex + ?Sized>(idx: &I, ops: &[Op]) -> Summary {
-    let (mut latencies, elapsed) = run_ops_concurrent_latencies(idx, ops);
-    summarize(&mut latencies, elapsed)
-}
-
-/// Like [`run_ops_concurrent`] but returns the raw per-op latency vector and
-/// the thread's wall-clock nanoseconds, so a multi-threaded driver can pool
-/// latencies across threads and compute exact aggregate percentiles.
+/// Executes `ops` against a concurrent index from one thread, returning the
+/// raw per-op latency vector and the thread's wall-clock nanoseconds, so a
+/// multi-threaded driver can pool latencies across threads and compute
+/// exact aggregate percentiles.
 pub fn run_ops_concurrent_latencies<I: ConcurrentKvIndex + ?Sized>(
     idx: &I,
     ops: &[Op],
@@ -371,33 +364,6 @@ pub fn run_ops_concurrent_latencies<I: ConcurrentKvIndex + ?Sized>(
     let elapsed = start.elapsed().as_nanos() as u64;
     std::hint::black_box(sink);
     (latencies, elapsed)
-}
-
-/// Merges per-thread summaries into an aggregate (total ops over max
-/// elapsed; latency percentiles are approximated by the worst thread).
-pub fn merge_summaries(parts: &[Summary]) -> Summary {
-    let ops: usize = parts.iter().map(|s| s.ops).sum();
-    let elapsed = parts.iter().map(|s| s.elapsed_ns).max().unwrap_or(0);
-    let avg = if ops == 0 {
-        0.0
-    } else {
-        parts.iter().map(|s| s.avg_ns * s.ops as f64).sum::<f64>() / ops as f64
-    };
-    Summary {
-        ops,
-        elapsed_ns: elapsed,
-        mops: if elapsed == 0 {
-            0.0
-        } else {
-            ops as f64 * 1e3 / elapsed as f64
-        },
-        avg_ns: avg,
-        p50_ns: parts.iter().map(|s| s.p50_ns).max().unwrap_or(0),
-        p90_ns: parts.iter().map(|s| s.p90_ns).max().unwrap_or(0),
-        p99_ns: parts.iter().map(|s| s.p99_ns).max().unwrap_or(0),
-        p999_ns: parts.iter().map(|s| s.p999_ns).max().unwrap_or(0),
-        p9999_ns: parts.iter().map(|s| s.p9999_ns).max().unwrap_or(0),
-    }
 }
 
 #[cfg(test)]
@@ -535,36 +501,5 @@ mod tests {
         assert_eq!(s.p999_ns, 9_990);
         assert_eq!(s.p9999_ns, 9_999);
         assert!((s.avg_ns - 5_000.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn merge_summaries_aggregates() {
-        let a = Summary {
-            ops: 100,
-            elapsed_ns: 1_000,
-            mops: 0.0,
-            avg_ns: 10.0,
-            p50_ns: 8,
-            p90_ns: 15,
-            p99_ns: 20,
-            p999_ns: 25,
-            p9999_ns: 30,
-        };
-        let b = Summary {
-            ops: 300,
-            elapsed_ns: 2_000,
-            mops: 0.0,
-            avg_ns: 20.0,
-            p50_ns: 16,
-            p90_ns: 40,
-            p99_ns: 50,
-            p999_ns: 55,
-            p9999_ns: 60,
-        };
-        let m = merge_summaries(&[a, b]);
-        assert_eq!(m.ops, 400);
-        assert_eq!(m.elapsed_ns, 2_000);
-        assert_eq!(m.p99_ns, 50);
-        assert!((m.avg_ns - 17.5).abs() < 1e-9);
     }
 }
